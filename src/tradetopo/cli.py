@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import hclust, ingest, metrics, shockprop, stats
 from .errors import (
@@ -104,7 +103,7 @@ def load_recessions(path):
         return ingest.parse_recessions(fh)
 
 
-def select_years(args, records):
+def select_years(args, available):
     if args.year is not None:
         return [args.year]
     if args.years is not None:
@@ -113,18 +112,27 @@ def select_years(args, records):
             lo, hi = int(lo), int(hi)
         except ValueError:
             raise ParseError(f"bad year range {args.years!r}") from None
-        return [y for y in ingest.available_years(records) if lo <= y <= hi]
-    return ingest.available_years(records)
+        return [y for y in available if lo <= y <= hi]
+    return available
 
 
-def networks_for_years(records, years, mode):
-    nets = []
-    for year in years:
+def ccc_stage(args, records):
+    """Directed flows, networks and CCC series of the selected years.
+
+    The records are grouped by year in one pass and each year is
+    aggregated once; years without records are skipped with a warning.
+    """
+    by_year = {}
+    for r in records:
+        by_year.setdefault(r.year, []).append(r)
+    flows = {}
+    for year in select_years(args, sorted(by_year)):
         try:
-            nets.append(ingest.build_network(records, year, mode))
+            flows[year] = ingest.directed_flows(by_year.get(year, []), year)
         except EmptyYear as exc:
             log.warning("%s", exc)
-    return nets
+    nets = [ingest.symmetrize(year, *f, args.mode) for year, f in flows.items()]
+    return flows, nets, metrics.ccc_series(nets)
 
 
 def shock_config(args):
@@ -137,48 +145,45 @@ def shock_config(args):
     )
 
 
-def worker_count():
-    raw = os.environ.get("TRADE_TOPOLOGY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        log.warning("ignoring bad TRADE_TOPOLOGY_THREADS=%r", raw)
-        return 1
-
-
 # --- commands ---
+# Each command loads and validates every input it uses before it writes
+# any output, so an input error (exit 2) leaves no partial results.
 
 
-def cmd_ccc_series(args):
-    records = load_trade(args.trade)
-    nets = networks_for_years(records, select_years(args, records), args.mode)
-    series = metrics.ccc_series(nets)
-    if not series:
-        log.error("no year produced a CCC value")
-        return EXIT_EMPTY
+def _write_ccc_outputs(args, nets, series, gdp):
     write_table(
         table_path(args.out, "ccc_series", args.format),
         ["year", "ccc", "n_countries"],
         [(p.year, p.ccc, p.n_countries) for p in series],
         args.format,
     )
-    if args.gdp:
-        gdp = load_gdp(args.gdp)
-        ratio_rows, total_rows = [], []
-        for net in nets:
-            total_rows.append((net.year, metrics.total_trade(net)))
-            try:
-                ratio_rows.append((net.year, metrics.trade_gdp_ratio(net, gdp)))
-            except MissingGdp as exc:
-                log.warning("year %d: %s", net.year, exc)
-        write_table(
-            table_path(args.out, "trade_gdp_ratio", args.format),
-            ["year", "ratio"], ratio_rows, args.format,
-        )
-        write_table(
-            table_path(args.out, "total_trade", args.format),
-            ["year", "total_trade"], total_rows, args.format,
-        )
+    if gdp is None:
+        return
+    ratio_rows, total_rows = [], []
+    for net in nets:
+        total_rows.append((net.year, metrics.total_trade(net)))
+        try:
+            ratio_rows.append((net.year, metrics.trade_gdp_ratio(net, gdp)))
+        except MissingGdp as exc:
+            log.warning("year %d: %s", net.year, exc)
+    write_table(
+        table_path(args.out, "trade_gdp_ratio", args.format),
+        ["year", "ratio"], ratio_rows, args.format,
+    )
+    write_table(
+        table_path(args.out, "total_trade", args.format),
+        ["year", "total_trade"], total_rows, args.format,
+    )
+
+
+def cmd_ccc_series(args):
+    records = load_trade(args.trade)
+    gdp = load_gdp(args.gdp) if args.gdp else None
+    _, nets, series = ccc_stage(args, records)
+    if not series:
+        log.error("no year produced a CCC value")
+        return EXIT_EMPTY
+    _write_ccc_outputs(args, nets, series, gdp)
     return EXIT_OK
 
 
@@ -218,13 +223,6 @@ def cmd_share_matrix(args):
     return EXIT_OK
 
 
-def _year_flows(records, year):
-    flows = [r for r in records if r.year == year]
-    if not flows:
-        raise EmptyYear(f"no trade records for year {year}")
-    return flows
-
-
 def _write_trace(path_stem, trace, args):
     rows = [
         (t, country, float(y[i]))
@@ -238,9 +236,9 @@ def _write_trace(path_stem, trace, args):
 
 
 def cmd_shock(args):
-    records = load_trade(args.trade)
-    gdp = load_gdp(args.gdp)
-    state = shockprop.init_state(_year_flows(records, args.year), gdp)
+    records, gdp = load_trade(args.trade), load_gdp(args.gdp)
+    countries, x = ingest.directed_flows(records, args.year)
+    state = shockprop.year_state(args.year, countries, x, gdp)
     config = shock_config(args)
     try:
         trace = shockprop.run_to_steady(state, config)
@@ -274,9 +272,9 @@ def _shock_and_recover(state, config):
 
 
 def cmd_recover(args):
-    records = load_trade(args.trade)
-    gdp = load_gdp(args.gdp)
-    state = shockprop.init_state(_year_flows(records, args.year), gdp)
+    records, gdp = load_trade(args.trade), load_gdp(args.gdp)
+    countries, x = ingest.directed_flows(records, args.year)
+    state = shockprop.year_state(args.year, countries, x, gdp)
     config = shock_config(args)
     try:
         shock_trace, recovery, fit = _shock_and_recover(state, config)
@@ -300,15 +298,7 @@ def cmd_recover(args):
     return EXIT_OK
 
 
-def _ccc_series_for(args, records):
-    nets = networks_for_years(records, select_years(args, records), args.mode)
-    return metrics.ccc_series(nets)
-
-
-def cmd_recessions_test(args):
-    records = load_trade(args.trade)
-    windows = load_recessions(args.recessions)
-    series = _ccc_series_for(args, records)
+def _write_recessions_test(args, series, windows):
     try:
         shift = stats.recession_ccc_shift(series, windows)
     except MissingYear as exc:
@@ -328,59 +318,59 @@ def cmd_recessions_test(args):
     return EXIT_OK
 
 
-def cmd_pipeline(args):
-    rc = cmd_ccc_series(args)
-    if rc != EXIT_OK:
-        return rc
+def cmd_recessions_test(args):
     records = load_trade(args.trade)
-    series = _ccc_series_for(args, records)
-    ccc_by_year = {p.year: p.ccc for p in series}
+    windows = load_recessions(args.recessions)
+    _, _, series = ccc_stage(args, records)
+    return _write_recessions_test(args, series, windows)
 
-    gdp = None
-    if args.gdp and os.path.exists(args.gdp):
-        gdp = load_gdp(args.gdp)
-    else:
-        log.warning("no GDP data; shock and recovery stages skipped")
 
+def _write_fig4(args, flows, series, gdp):
+    """Shock and recovery of every year in the CCC series; a year whose
+    scenario fails is skipped with a warning."""
+    config = shock_config(args)
     fig4a_rows, fig4b_rows = [], []
-    if gdp is not None:
-        config = shock_config(args)
+    for point in series:
+        year = point.year
+        try:
+            state = shockprop.year_state(year, *flows[year], gdp)
+            shock_trace, _, fit = _shock_and_recover(state, config)
+        except (TradeTopoError, ValueError) as exc:
+            log.warning("year %d: shock scenario skipped: %s", year, exc)
+            continue
+        fig4a_rows.append((
+            year, point.ccc, shockprop.impact_ratio(shock_trace, config.epicenter),
+        ))
+        fig4b_rows.append((
+            year, point.ccc, shockprop.world_gdp_change(shock_trace), fit.lam,
+        ))
+    write_table(
+        os.path.join(args.out, "fig4a.csv"),
+        ["year", "ccc", "impact_ratio"], fig4a_rows, "csv",
+    )
+    write_table(
+        os.path.join(args.out, "fig4b.csv"),
+        ["year", "ccc", "world_gdp_change", "lambda"], fig4b_rows, "csv",
+    )
 
-        def scenario(year):
-            state = shockprop.init_state(_year_flows(records, year), gdp)
-            return _shock_and_recover(state, config)
 
-        years = [p.year for p in series]
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            futures = {y: pool.submit(scenario, y) for y in years}
-        for year in years:
-            try:
-                shock_trace, _, fit = futures[year].result()
-            except (TradeTopoError, ValueError) as exc:
-                log.warning("year %d: shock scenario skipped: %s", year, exc)
-                continue
-            fig4a_rows.append((
-                year, ccc_by_year[year],
-                shockprop.impact_ratio(shock_trace, config.epicenter),
-            ))
-            fig4b_rows.append((
-                year, ccc_by_year[year],
-                shockprop.world_gdp_change(shock_trace), fit.lam,
-            ))
-        write_table(
-            os.path.join(args.out, "fig4a.csv"),
-            ["year", "ccc", "impact_ratio"], fig4a_rows, "csv",
-        )
-        write_table(
-            os.path.join(args.out, "fig4b.csv"),
-            ["year", "ccc", "world_gdp_change", "lambda"], fig4b_rows, "csv",
-        )
-
-    if args.recessions:
-        rc = cmd_recessions_test(args)
-        if rc != EXIT_OK:
-            return rc
-    return EXIT_OK
+def cmd_pipeline(args):
+    records = load_trade(args.trade)
+    gdp = load_gdp(args.gdp) if args.gdp else None
+    windows = load_recessions(args.recessions) if args.recessions else None
+    flows, nets, series = ccc_stage(args, records)
+    del records  # free the parsed rows before the shock and KS stages
+    if not series:
+        log.error("no year produced a CCC value")
+        return EXIT_EMPTY
+    _write_ccc_outputs(args, nets, series, gdp)
+    if gdp is None:
+        log.warning("no GDP data; shock and recovery stages skipped")
+    else:
+        _write_fig4(args, flows, series, gdp)
+    if windows is None:
+        return EXIT_OK
+    return _write_recessions_test(args, series, windows)
 
 
 # --- argument parsing ---

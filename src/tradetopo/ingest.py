@@ -208,15 +208,14 @@ def directed_flows(records, year):
     return countries, x
 
 
-def build_network(records, year, mode="sum") -> TradeNetwork:
-    """Symmetrize one year of directed flows into a TradeNetwork.
+def symmetrize(year, countries, x, mode="sum") -> TradeNetwork:
+    """TradeNetwork of a directed flow matrix x over countries.
 
     mode "sum" gives M_ij = X_ij + X_ji (total bilateral commerce);
     "max" and "mean" are kept for sensitivity checks.
     """
     if mode not in SYMMETRIZATION_MODES:
         raise ValueError(f"mode must be one of {SYMMETRIZATION_MODES}, got {mode!r}")
-    countries, x = directed_flows(records, year)
     if mode == "sum":
         m = x + x.T
     elif mode == "max":
@@ -224,8 +223,9 @@ def build_network(records, year, mode="sum") -> TradeNetwork:
     else:
         m = (x + x.T) / 2.0
     np.fill_diagonal(m, 0.0)
-    return TradeNetwork(year=year, countries=countries, m=m)
+    return TradeNetwork(year=year, countries=list(countries), m=m)
 
 
-def available_years(records) -> list[int]:
-    return sorted({r.year for r in records})
+def build_network(records, year, mode="sum") -> TradeNetwork:
+    """Symmetrize one year of directed flow records into a TradeNetwork."""
+    return symmetrize(year, *directed_flows(records, year), mode)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import curve_fit
 
+from . import ingest
 from .errors import (
     EmptyFlows,
     InsufficientPoints,
@@ -41,6 +42,11 @@ class EconomyState:
     y: np.ndarray  # GDP per country, USD
     x: np.ndarray  # directed exports, x[i, j] = exports i -> j
     p: np.ndarray  # export/GDP ratios, frozen at initialization
+
+    @classmethod
+    def from_exports(cls, countries, y, x) -> "EconomyState":
+        """State whose P_i = X_i / Y_i is taken from these exports."""
+        return cls(countries=tuple(countries), y=y, x=x, p=x.sum(axis=1) / y)
 
     def index(self, country) -> int:
         try:
@@ -90,11 +96,7 @@ class RecoveryFit:
 
 
 def init_state(flows, gdp: dict) -> EconomyState:
-    """State from one year of directed flow records plus the GDP table.
-
-    Exports stay directional (no symmetrization); P_i is computed once
-    and never updated.
-    """
+    """State from one year of directed flow records plus the GDP table."""
     flows = list(flows)
     if not flows:
         raise EmptyFlows("no flow records supplied")
@@ -102,20 +104,25 @@ def init_state(flows, gdp: dict) -> EconomyState:
     if len(years) > 1:
         raise ValueError(f"flows span several years: {sorted(years)}")
     year = years.pop()
-    countries = tuple(sorted({r.reporter for r in flows} | {r.partner for r in flows}))
+    return year_state(year, *ingest.directed_flows(flows, year), gdp)
+
+
+def year_state(year, countries, x, gdp: dict) -> EconomyState:
+    """State from one year's directed export matrix x over countries plus
+    the GDP table.
+
+    Exports stay directional (no symmetrization); P_i is computed once
+    and never updated.
+    """
     missing = [c for c in countries if (year, c) not in gdp]
     if missing:
         raise MissingGdp(missing)
-    index = {c: i for i, c in enumerate(countries)}
-    x = np.zeros((len(countries), len(countries)))
-    for r in flows:
-        x[index[r.reporter], index[r.partner]] += r.export_value
     y = np.array([gdp[(year, c)] for c in countries])
-    p = x.sum(axis=1) / y
-    high = [c for c, pi in zip(countries, p) if pi >= 1]
+    state = EconomyState.from_exports(countries, y, x)
+    high = [c for c, pi in zip(state.countries, state.p) if pi >= 1]
     if high:
         log.warning("export/GDP ratio >= 1 for: %s", ", ".join(high))
-    return EconomyState(countries=countries, y=y, x=x, p=p)
+    return state
 
 
 def apply_shock(state: EconomyState, config: ShockConfig) -> EconomyState:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import TradeFlowRecord, TradeNetwork
+from .ingest import TradeFlowRecord, TradeNetwork, symmetrize
 from .shockprop import EconomyState
 
 
@@ -29,18 +29,11 @@ class MatchedPair:
 
     def network(self, which, year=2000) -> TradeNetwork:
         x = self.x_uniform if which == "uniform" else self.x_modular
-        m = x + x.T
-        np.fill_diagonal(m, 0.0)
-        return TradeNetwork(year=year, countries=list(self.countries), m=m)
+        return symmetrize(year, self.countries, x)
 
     def state(self, which) -> EconomyState:
         x = self.x_uniform if which == "uniform" else self.x_modular
-        return EconomyState(
-            countries=self.countries,
-            y=self.gdp.copy(),
-            x=x.copy(),
-            p=x.sum(axis=1) / self.gdp,
-        )
+        return EconomyState.from_exports(self.countries, self.gdp.copy(), x.copy())
 
 
 def _codes(n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import tradetopo
-from tradetopo import cli
+from tradetopo import cli, ingest, metrics
 
 TRADE3 = """year,reporter,partner,value_usd
 2000,AAA,BBB,3
@@ -222,6 +223,71 @@ class TestPipeline:
     def test_no_valid_years_exit_3(self, fixtures_dir, tmp_path):
         assert run("pipeline", "--trade", fixtures_dir / "trade.csv",
                    "--years", "1900:1901", "--out", tmp_path / "o") == 3
+
+    # SHA-256 of every pipeline output on tests/fixtures, recorded before the
+    # pipeline was restructured to parse and aggregate each input once.
+    GOLDEN = {
+        "ccc_series.csv":
+            "2b778cf8ad2e5f647e696730c06deeb854263b7935e89dbd591eb0c091abf561",
+        "trade_gdp_ratio.csv":
+            "9f2b6a2e2931050b0be646effc2f67848cd8c75be2b27616a80887a17992b7d6",
+        "total_trade.csv":
+            "68f1e2ecbc9c0fee77054b3d541f08e3f15cd8384d99089335ca43cffdced4a0",
+        "fig4a.csv":
+            "877aba02ee7149c2ba9784ffe9d4b04233560ac4f0524ac1f8d864e5e0a385ad",
+        "fig4b.csv":
+            "107c62fb864e348f4eabd3b954fb7920514ee33fa33a8a616f53492d3a0ffd33",
+        "recessions_test.json":
+            "44fa479d25e4f37d4f63c34be30f02dc74cc48c9b4bcc632f043020a10f21763",
+    }
+
+    def run_fixture(self, fixtures_dir, out, **overrides):
+        inputs = {"trade": fixtures_dir / "trade.csv",
+                  "gdp": fixtures_dir / "gdp.csv",
+                  "recessions": fixtures_dir / "recessions.csv", **overrides}
+        argv = ["pipeline", "--out", out]
+        for name, path in inputs.items():
+            argv += [f"--{name}", path]
+        return run(*argv)
+
+    def test_golden_output_bytes(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert digests == self.GOLDEN
+
+    def test_each_stage_runs_once(self, fixtures_dir, tmp_path, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(ingest, "parse_trade_csv")
+        count(ingest, "parse_gdp_csv")
+        count(metrics, "ccc_series")
+        assert self.run_fixture(fixtures_dir, tmp_path / "out") == 0
+        assert calls == {"parse_trade_csv": 1, "parse_gdp_csv": 1,
+                         "ccc_series": 1}
+
+    def test_missing_gdp_file_writes_nothing(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out,
+                                gdp=tmp_path / "nope.csv") == 2
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_malformed_recessions_writes_nothing(self, fixtures_dir, tmp_path):
+        rec = tmp_path / "rec.csv"
+        rec.write_text("label,start,end\nbad,2001-13,2002-01\n")
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out, recessions=rec) == 2
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestHelp:

@@ -54,6 +54,38 @@ class TestInitState:
             shockprop.init_state(flows, gdp)
         assert "USA" in caplog.text
 
+    def test_duplicate_rows_summed(self):
+        flows = [
+            TradeFlowRecord(2007, "USA", "WLD", 10.0),
+            TradeFlowRecord(2007, "WLD", "USA", 4.0),
+            TradeFlowRecord(2007, "USA", "WLD", 2.5),
+        ]
+        gdp = {(2007, "USA"): 100.0, (2007, "WLD"): 100.0}
+        st = shockprop.init_state(flows, gdp)
+        assert st.x[st.index("USA"), st.index("WLD")] == 12.5
+        assert st.x[st.index("WLD"), st.index("USA")] == 4.0
+        assert np.allclose(st.p, [0.125, 0.04])
+
+    def test_zero_valued_country_kept(self):
+        flows = [
+            TradeFlowRecord(2007, "USA", "WLD", 10.0),
+            TradeFlowRecord(2007, "CHN", "USA", 0.0),
+        ]
+        gdp = {(2007, c): 100.0 for c in ("CHN", "USA", "WLD")}
+        st = shockprop.init_state(flows, gdp)
+        assert st.countries == ("CHN", "USA", "WLD")
+        assert st.p[st.index("CHN")] == 0.0
+        assert st.x[st.index("CHN")].sum() == 0.0
+
+    def test_flows_spanning_two_years(self):
+        flows = [
+            TradeFlowRecord(2007, "USA", "WLD", 10.0),
+            TradeFlowRecord(2008, "USA", "WLD", 10.0),
+        ]
+        gdp = {(y, c): 100.0 for y in (2007, 2008) for c in ("USA", "WLD")}
+        with pytest.raises(ValueError, match="several years"):
+            shockprop.init_state(flows, gdp)
+
 
 class TestApplyShock:
     def test_fraction(self):

@@ -5,7 +5,6 @@ samples."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -18,6 +17,9 @@ from .errors import (
     SizeMismatch,
 )
 
+# Above this many label assignments the p-value is asymptotic. The exact
+# count is O(n*m) at any size; the switch only fixes which `method` (and
+# so which p) a sample size gets.
 EXACT_ENUMERATION_LIMIT = 10**6
 _TIE_EPS = 1e-12
 
@@ -46,56 +48,54 @@ def pearson(x, y) -> float:
     return float(np.dot(dx, dy) / np.sqrt(ss_x * ss_y))
 
 
-def _ecdf_gaps(pooled_sorted, membership, n, m):
-    """Signed ECDF_a - ECDF_b gaps at the end of each tie group of the
-    pooled sorted sample; membership marks positions belonging to a."""
-    ca = np.cumsum(membership, axis=-1) / n
-    cb = np.cumsum(1 - membership, axis=-1) / m
-    ends = np.flatnonzero(
-        np.append(np.diff(pooled_sorted) != 0, True)
-    )
-    return (ca - cb)[..., ends]
-
-
-def ks_statistic(a, b) -> float:
-    """D = sup over thresholds of |ECDF_a - ECDF_b|."""
+def _observed_gaps(a, b):
+    """Sizes n and m, the pooled-sample counts i + j at the end of each tie
+    group, and the signed ECDF_a - ECDF_b gaps there."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise EmptySample("both samples must be nonempty")
     pooled = np.concatenate([a, b])
     order = np.argsort(pooled, kind="stable")
-    membership = (order < a.size).astype(float)
-    gaps = _ecdf_gaps(pooled[order], membership, a.size, b.size)
+    ends = np.flatnonzero(np.append(np.diff(pooled[order]) != 0, True))
+    gaps = np.cumsum(order < a.size) / a.size - np.cumsum(order >= a.size) / b.size
+    return a.size, b.size, ends + 1, gaps[ends]
+
+
+def _exact_p(n, m, ends, stat, two_sided):
+    """Share of the comb(n + m, n) assignments of the pooled values to the
+    first sample whose |gap| (or signed gap) reaches stat at some tie-group
+    end: each assignment is a monotone lattice path to (n, m), so count the
+    paths that avoid every such cell (Hodges 1957) in O(n*m)."""
+    checked = set(ends.tolist())
+    threshold = stat - _TIE_EPS
+    row = [1] + [0] * m  # row[j]: paths to (i, j) that avoided the cells
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if j:
+                row[j] += row[j - 1]
+            if i + j in checked:
+                gap = i / n - j / m
+                if (abs(gap) if two_sided else gap) >= threshold:
+                    row[j] = 0
+    total = comb(n + m, n)
+    return (total - row[m]) / total
+
+
+def ks_statistic(a, b) -> float:
+    """D = sup over thresholds of |ECDF_a - ECDF_b|."""
+    *_, gaps = _observed_gaps(a, b)
     return float(np.max(np.abs(gaps)))
 
 
-def _enumerate_gaps(pooled, n):
-    """Signed ECDF gap rows for every assignment of n of the pooled
-    values to the first sample; rows follow itertools.combinations order."""
-    total = pooled.size
-    pooled_sorted = np.sort(pooled)
-    picks = np.fromiter(
-        (i for combo in combinations(range(total), n) for i in combo),
-        dtype=np.intp,
-    ).reshape(-1, n)
-    membership = np.zeros((picks.shape[0], total))
-    np.put_along_axis(membership, picks, 1.0, axis=1)
-    return _ecdf_gaps(pooled_sorted, membership, n, total - n)
-
-
 def ks_two_sample(a, b) -> KsResult:
-    """Two-sided KS test; p by exhaustive permutation when the number of
-    label assignments is small enough, otherwise the asymptotic
-    Kolmogorov distribution with effective size nm/(n+m)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = ks_statistic(a, b)
-    n, m = a.size, b.size
+    """Two-sided KS test; p by exact permutation when the number of label
+    assignments is small enough, otherwise the asymptotic Kolmogorov
+    distribution with effective size nm/(n+m)."""
+    n, m, ends, gaps = _observed_gaps(a, b)
+    d = float(np.max(np.abs(gaps)))
     if comb(n + m, n) <= EXACT_ENUMERATION_LIMIT:
-        gaps = _enumerate_gaps(np.concatenate([a, b]), n)
-        d_all = np.max(np.abs(gaps), axis=1)
-        p = float(np.mean(d_all >= d - _TIE_EPS))
+        p = _exact_p(n, m, ends, d, two_sided=True)
         method = "exact-permutation"
     else:
         en = np.sqrt(n * m / (n + m))
@@ -107,19 +107,10 @@ def ks_two_sample(a, b) -> KsResult:
 def ks_one_sided_p(a, b) -> float:
     """Permutation p-value for D+ = sup(ECDF_a - ECDF_b), the one-sided
     alternative that a-values sit below b-values."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise EmptySample("both samples must be nonempty")
-    pooled = np.concatenate([a, b])
-    order = np.argsort(pooled, kind="stable")
-    membership = (order < a.size).astype(float)
-    d_plus = float(np.max(_ecdf_gaps(pooled[order], membership, a.size, b.size)))
-    n, m = a.size, b.size
+    n, m, ends, gaps = _observed_gaps(a, b)
+    d_plus = float(np.max(gaps))
     if comb(n + m, n) <= EXACT_ENUMERATION_LIMIT:
-        gaps = _enumerate_gaps(pooled, n)
-        d_all = np.max(gaps, axis=1)
-        return float(np.mean(d_all >= d_plus - _TIE_EPS))
+        return _exact_p(n, m, ends, d_plus, two_sided=False)
     en2 = n * m / (n + m)
     return float(min(1.0, np.exp(-2.0 * en2 * d_plus**2)))
 
@@ -129,8 +120,11 @@ def recession_ccc_shift(series, windows):
     year after it ends.
 
     Returns before/after samples, the two-sided KS result and the
-    one-sided permutation p for "before larger than after".
+    one-sided permutation p for "before below after", i.e. CCC rising
+    after recessions.
     """
+    if not windows:
+        raise EmptySample("no recession windows to test")
     by_year = {p.year: p.ccc for p in series}
     missing = [
         w for w in windows

@@ -197,6 +197,14 @@ class TestRecessionsTest:
         assert run("recessions-test", "--trade", trade, "--recessions", rec,
                    "--out", tmp_path / "o") == 3
 
+    def test_header_only_file_exit_3(self, small_inputs, tmp_path, capsys):
+        trade, _ = small_inputs
+        rec = tmp_path / "rec.csv"
+        rec.write_text("label,start,end\n")
+        assert run("recessions-test", "--trade", trade, "--recessions", rec,
+                   "--out", tmp_path / "o") == 3
+        assert "no recession windows" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_fixture_run(self, fixtures_dir, tmp_path):

@@ -59,11 +59,7 @@ def atomic_write(path, text):
 def write_table(path, header, rows, fmt_name):
     """Write rows either as CSV or as a JSON list of row objects."""
     if fmt_name == "json":
-        payload = [
-            {k: round12(v) if isinstance(v, float) else v for k, v in zip(header, row)}
-            for row in rows
-        ]
-        atomic_write(path, json.dumps(payload, indent=2) + "\n")
+        write_json(path, [dict(zip(header, row)) for row in rows])
     else:
         lines = [",".join(header)]
         lines.extend(",".join(fmt(v) for v in row) for row in rows)
@@ -298,12 +294,17 @@ def cmd_recover(args):
     return EXIT_OK
 
 
-def _write_recessions_test(args, series, windows):
+def _recession_shift(series, windows):
+    """stats.recession_ccc_shift, or None (logged) when a window's
+    neighbouring years are missing from the series."""
     try:
-        shift = stats.recession_ccc_shift(series, windows)
+        return stats.recession_ccc_shift(series, windows)
     except MissingYear as exc:
         log.error("%s", exc)
-        return EXIT_EMPTY
+        return None
+
+
+def _write_recessions_test(args, shift):
     write_json(
         os.path.join(args.out, "recessions_test.json"),
         {
@@ -315,14 +316,17 @@ def _write_recessions_test(args, series, windows):
             "one_sided_p": shift["one_sided_p"],
         },
     )
-    return EXIT_OK
 
 
 def cmd_recessions_test(args):
     records = load_trade(args.trade)
     windows = load_recessions(args.recessions)
     _, _, series = ccc_stage(args, records)
-    return _write_recessions_test(args, series, windows)
+    shift = _recession_shift(series, windows)
+    if shift is None:
+        return EXIT_EMPTY
+    _write_recessions_test(args, shift)
+    return EXIT_OK
 
 
 def _write_fig4(args, flows, series, gdp):
@@ -363,14 +367,21 @@ def cmd_pipeline(args):
     if not series:
         log.error("no year produced a CCC value")
         return EXIT_EMPTY
+    # check the windows before the first write, so that windows the series
+    # does not cover leave no partial outputs
+    shift = None
+    if windows is not None:
+        shift = _recession_shift(series, windows)
+        if shift is None:
+            return EXIT_EMPTY
     _write_ccc_outputs(args, nets, series, gdp)
     if gdp is None:
         log.warning("no GDP data; shock and recovery stages skipped")
     else:
         _write_fig4(args, flows, series, gdp)
-    if windows is None:
-        return EXIT_OK
-    return _write_recessions_test(args, series, windows)
+    if shift is not None:
+        _write_recessions_test(args, shift)
+    return EXIT_OK
 
 
 # --- argument parsing ---

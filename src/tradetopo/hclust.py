@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.cluster.hierarchy import cophenet
+from scipy.spatial.distance import squareform
 
 from .errors import BadK, BadLabel, SizeMismatch, TooFewCountries, TooFewItems
 
@@ -44,10 +46,7 @@ class CondensedDistances:
         return self.values[self.index(*pair)]
 
     def as_square(self) -> np.ndarray:
-        sq = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n, k=1)
-        sq[iu] = self.values
-        return sq + sq.T
+        return squareform(self.values)
 
 
 @dataclass(frozen=True)
@@ -142,18 +141,10 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
 
 def cophenetic(dend: Dendrogram) -> CondensedDistances:
     """c_ij = height of the lowest merge whose cluster contains both
-    leaves; one pass over the merges."""
-    n = dend.n_leaves
-    members: list[list[int]] = [[i] for i in range(n)]
-    values = np.zeros(n * (n - 1) // 2)
-    out = CondensedDistances(n=n, values=values)
-    for m in dend.merges:
-        left, right = members[m.left], members[m.right]
-        for i in left:
-            for j in right:
-                values[out.index(i, j)] = m.height
-        members.append(left + right)
-    return CondensedDistances(n=n, values=values)
+    leaves, by scipy's cophenet on the merges as a linkage matrix (the
+    node ids already follow its convention)."""
+    z = np.array([(m.left, m.right, m.height, m.size) for m in dend.merges])
+    return CondensedDistances(n=dend.n_leaves, values=cophenet(z))
 
 
 def _min_leaf(dend: Dendrogram) -> list[int]:

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hclust
+from . import hclust, stats
 from .errors import (
-    DegenerateVariance,
     MissingGdp,
     SizeMismatch,
     TooFewItems,
@@ -45,15 +44,7 @@ def ccc(d: hclust.CondensedDistances, c: hclust.CondensedDistances) -> float:
     if d.n < 3:
         raise TooFewItems(f"CCC needs at least 3 items, got {d.n}")
     order = np.lexsort((c.values, d.values))
-    dv = d.values[order]
-    cv = c.values[order]
-    dd = dv - dv.mean()
-    cc = cv - cv.mean()
-    ss_d = float(np.dot(dd, dd))
-    ss_c = float(np.dot(cc, cc))
-    if ss_d == 0.0 or ss_c == 0.0:
-        raise DegenerateVariance("distance values have zero variance")
-    return float(np.dot(dd, cc) / np.sqrt(ss_d * ss_c))
+    return stats.pearson(d.values[order], c.values[order])
 
 
 def ccc_of_network(net) -> CccPoint:

@@ -41,11 +41,13 @@ def pearson(x, y) -> float:
         raise SizeMismatch(f"need at least 3 points, got {x.size}")
     dx = x - x.mean()
     dy = y - y.mean()
-    ss_x = float(np.dot(dx, dx))
-    ss_y = float(np.dot(dy, dy))
+    # elementwise sums, not a BLAS dot, whose threads would make the last
+    # bits depend on the thread count
+    ss_x = float((dx * dx).sum())
+    ss_y = float((dy * dy).sum())
     if ss_x == 0.0 or ss_y == 0.0:
         raise DegenerateVariance("zero variance input")
-    return float(np.dot(dx, dy) / np.sqrt(ss_x * ss_y))
+    return float((dx * dy).sum() / np.sqrt(ss_x * ss_y))
 
 
 def _observed_gaps(a, b):
@@ -80,12 +82,6 @@ def _exact_p(n, m, ends, stat, two_sided):
                     row[j] = 0
     total = comb(n + m, n)
     return (total - row[m]) / total
-
-
-def ks_statistic(a, b) -> float:
-    """D = sup over thresholds of |ECDF_a - ECDF_b|."""
-    *_, gaps = _observed_gaps(a, b)
-    return float(np.max(np.abs(gaps)))
 
 
 def ks_two_sample(a, b) -> KsResult:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import TradeFlowRecord, TradeNetwork, symmetrize
+from .ingest import TradeNetwork, symmetrize
 from .shockprop import EconomyState
 
 
@@ -139,8 +139,3 @@ def fixture_files() -> dict[str, str]:
         "recessions.csv": "\n".join(rec) + "\n",
     }
 
-
-def fixture_records():
-    return [
-        TradeFlowRecord(y, r, p, float(v)) for y, r, p, v in fixture_trade_rows()
-    ]

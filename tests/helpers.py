@@ -53,6 +53,21 @@ def brute_average_linkage_heights(n, condensed):
     return heights
 
 
+def brute_cophenetic(n, merges):
+    """Condensed cophenetic distances from the definition: c_ij is the
+    height of the first merge, in merge order, that joins a cluster
+    holding i to one holding j. merges are (left, right, height) with
+    leaves 0..n-1 and the k-th merge creating node n + k."""
+    members = {i: [i] for i in range(n)}
+    sq = np.zeros((n, n))
+    for k, (left, right, height) in enumerate(merges):
+        for i in members[left]:
+            for j in members[right]:
+                sq[i, j] = sq[j, i] = height
+        members[n + k] = members.pop(left) + members.pop(right)
+    return sq[np.triu_indices(n, k=1)]
+
+
 def random_ultrametric(rng, n):
     """Condensed ultrametric distances from a random binary tree with
     strictly increasing merge heights."""

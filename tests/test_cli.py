@@ -1,13 +1,10 @@
 import hashlib
 import json
-import os
-import pathlib
 import subprocess
 import sys
 
 import pytest
 
-import tradetopo
 from tradetopo import cli, ingest, metrics
 
 TRADE3 = """year,reporter,partner,value_usd
@@ -82,6 +79,26 @@ class TestCccSeries:
                    "--format", "json") == 0
         rows = json.loads((out / "ccc_series.json").read_text())
         assert rows[0]["year"] == 2000
+
+    # SHA-256 of `ccc-series --gdp --format json` on tests/fixtures, recorded
+    # before write_table's JSON branch was routed through write_json.
+    GOLDEN_JSON = {
+        "ccc_series.json":
+            "69207fdb3840a8d2a3ed4c2125ea9217acdb62da2328db64a8c2b1e97afad31c",
+        "trade_gdp_ratio.json":
+            "546d3ded433f449ccc23b623df220d0e626b2e3e653776fa306ea7df9748e04d",
+        "total_trade.json":
+            "ecdfbfc3f123181484862442a36e1e21451fa35e549e48b957f7c6e82a06fc78",
+    }
+
+    def test_golden_json_bytes(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run("ccc-series", "--trade", fixtures_dir / "trade.csv",
+                   "--gdp", fixtures_dir / "gdp.csv", "--out", out,
+                   "--format", "json") == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert digests == self.GOLDEN_JSON
 
 
 class TestDendrogram:
@@ -297,22 +314,30 @@ class TestPipeline:
         assert self.run_fixture(fixtures_dir, out, recessions=rec) == 2
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_header_only_recessions_writes_nothing(self, fixtures_dir, tmp_path,
+                                                   capsys):
+        rec = tmp_path / "rec.csv"
+        rec.write_text("label,start,end\n")
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out, recessions=rec) == 3
+        assert "no recession windows" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_window_outside_series_writes_nothing(self, fixtures_dir, tmp_path):
+        rec = tmp_path / "rec.csv"
+        rec.write_text("label,start,end\nw,1980-01,1980-12\n")
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out, recessions=rec) == 3
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestHelp:
     @pytest.mark.parametrize("argv", [["--help"], ["pipeline", "--help"]])
-    def test_help_exits_zero(self, argv, tmp_path, monkeypatch):
-        # The child must import the same tradetopo as this process, from
-        # any working directory: put its parent directory first and make
-        # inherited PYTHONPATH entries absolute before the chdir.
-        package_root = pathlib.Path(tradetopo.__file__).resolve().parents[1]
-        inherited = [os.path.abspath(entry) for entry in
-                     os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([str(package_root), *inherited])}
+    def test_help_exits_zero(self, argv, tmp_path, monkeypatch, package_env):
         monkeypatch.chdir(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "tradetopo.cli", *argv],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=package_env,
         )
         assert proc.returncode == 0
         assert "usage" in proc.stdout.lower()

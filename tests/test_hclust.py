@@ -145,6 +145,15 @@ class TestCophenetic:
 
     @settings(max_examples=150, deadline=None)
     @given(random_condensed)
+    def test_matches_members_brute_force(self, d):
+        dend = hclust.average_linkage(d)
+        expected = helpers.brute_cophenetic(
+            d.n, [(m.left, m.right, m.height) for m in dend.merges]
+        )
+        assert np.array_equal(hclust.cophenetic(dend).values, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_condensed)
     def test_ultrametric_triples(self, d):
         c = hclust.cophenetic(hclust.average_linkage(d)).as_square()
         n = c.shape[0]

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +119,26 @@ class TestCccOfNetwork:
             net.m[np.ix_(perm, perm)],
         )
         assert metrics.ccc_of_network(permuted).ccc == metrics.ccc_of_network(net).ccc
+
+    def test_independent_of_blas_threads(self, package_env):
+        # a threaded BLAS dot splits its sum by thread count, which would
+        # change the CCC's last bits between these two children
+        code = (
+            "import numpy as np\n"
+            "from tradetopo import ingest, metrics\n"
+            "x = np.random.default_rng(0).uniform(0.0, 1.0, (200, 200))\n"
+            "np.fill_diagonal(x, 0.0)\n"
+            "net = ingest.symmetrize(2000, [f'C{i:03d}' for i in range(200)], x)\n"
+            "print(repr(metrics.ccc_of_network(net).ccc))\n"
+        )
+        reprs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, env={**package_env, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert reprs[0] == reprs[1]
 
 
 class TestCccSeries:

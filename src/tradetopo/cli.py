@@ -112,19 +112,14 @@ def select_years(args, available):
     return available
 
 
-def ccc_stage(args, records):
-    """Directed flows, networks and CCC series of the selected years.
-
-    The records are grouped by year in one pass and each year is
-    aggregated once; years without records are skipped with a warning.
-    """
-    by_year = {}
-    for r in records:
-        by_year.setdefault(r.year, []).append(r)
+def ccc_stage(args, panel):
+    """Directed flows, networks and CCC series of the selected years; each
+    year is aggregated once and a selected year without rows is skipped
+    with a warning."""
     flows = {}
-    for year in select_years(args, sorted(by_year)):
+    for year in select_years(args, panel.years()):
         try:
-            flows[year] = ingest.directed_flows(by_year.get(year, []), year)
+            flows[year] = ingest.directed_flows(panel, year)
         except EmptyYear as exc:
             log.warning("%s", exc)
     nets = [ingest.symmetrize(year, *f, args.mode) for year, f in flows.items()]
@@ -173,9 +168,9 @@ def _write_ccc_outputs(args, nets, series, gdp):
 
 
 def cmd_ccc_series(args):
-    records = load_trade(args.trade)
+    panel = load_trade(args.trade)
     gdp = load_gdp(args.gdp) if args.gdp else None
-    _, nets, series = ccc_stage(args, records)
+    _, nets, series = ccc_stage(args, panel)
     if not series:
         log.error("no year produced a CCC value")
         return EXIT_EMPTY
@@ -184,8 +179,9 @@ def cmd_ccc_series(args):
 
 
 def cmd_dendrogram(args):
-    records = load_trade(args.trade)
-    net = ingest.build_network(records, args.year, args.mode)
+    if args.cut < 1:
+        raise ValueError(f"--cut must be at least 1, got {args.cut}")
+    net = ingest.build_network(load_trade(args.trade), args.year, args.mode)
     dend = hclust.average_linkage(hclust.distances_from_network(net))
     atomic_write(
         os.path.join(args.out, f"tree_{net.year}.nwk"),
@@ -205,8 +201,7 @@ def cmd_dendrogram(args):
 
 
 def cmd_share_matrix(args):
-    records = load_trade(args.trade)
-    net = ingest.build_network(records, args.year, args.mode)
+    net = ingest.build_network(load_trade(args.trade), args.year, args.mode)
     dend = hclust.average_linkage(hclust.distances_from_network(net))
     share = metrics.ordered_share_matrix(net, dend)
     lines = ["," + ",".join(share.countries)]
@@ -232,8 +227,8 @@ def _write_trace(path_stem, trace, args):
 
 
 def cmd_shock(args):
-    records, gdp = load_trade(args.trade), load_gdp(args.gdp)
-    countries, x = ingest.directed_flows(records, args.year)
+    panel, gdp = load_trade(args.trade), load_gdp(args.gdp)
+    countries, x = ingest.directed_flows(panel, args.year)
     state = shockprop.year_state(args.year, countries, x, gdp)
     config = shock_config(args)
     try:
@@ -268,8 +263,8 @@ def _shock_and_recover(state, config):
 
 
 def cmd_recover(args):
-    records, gdp = load_trade(args.trade), load_gdp(args.gdp)
-    countries, x = ingest.directed_flows(records, args.year)
+    panel, gdp = load_trade(args.trade), load_gdp(args.gdp)
+    countries, x = ingest.directed_flows(panel, args.year)
     state = shockprop.year_state(args.year, countries, x, gdp)
     config = shock_config(args)
     try:
@@ -319,9 +314,9 @@ def _write_recessions_test(args, shift):
 
 
 def cmd_recessions_test(args):
-    records = load_trade(args.trade)
+    panel = load_trade(args.trade)
     windows = load_recessions(args.recessions)
-    _, _, series = ccc_stage(args, records)
+    _, _, series = ccc_stage(args, panel)
     shift = _recession_shift(series, windows)
     if shift is None:
         return EXIT_EMPTY
@@ -329,10 +324,9 @@ def cmd_recessions_test(args):
     return EXIT_OK
 
 
-def _write_fig4(args, flows, series, gdp):
+def _write_fig4(args, config, flows, series, gdp):
     """Shock and recovery of every year in the CCC series; a year whose
     scenario fails is skipped with a warning."""
-    config = shock_config(args)
     fig4a_rows, fig4b_rows = [], []
     for point in series:
         year = point.year
@@ -359,11 +353,12 @@ def _write_fig4(args, flows, series, gdp):
 
 
 def cmd_pipeline(args):
-    records = load_trade(args.trade)
+    panel = load_trade(args.trade)
     gdp = load_gdp(args.gdp) if args.gdp else None
     windows = load_recessions(args.recessions) if args.recessions else None
-    flows, nets, series = ccc_stage(args, records)
-    del records  # free the parsed rows before the shock and KS stages
+    config = shock_config(args)
+    flows, nets, series = ccc_stage(args, panel)
+    del panel  # free the parsed rows before the shock and KS stages
     if not series:
         log.error("no year produced a CCC value")
         return EXIT_EMPTY
@@ -378,7 +373,7 @@ def cmd_pipeline(args):
     if gdp is None:
         log.warning("no GDP data; shock and recovery stages skipped")
     else:
-        _write_fig4(args, flows, series, gdp)
+        _write_fig4(args, config, flows, series, gdp)
     if shift is not None:
         _write_recessions_test(args, shift)
     return EXIT_OK
@@ -394,12 +389,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_year=False, needs_gdp=False):
+    def add(name, func, needs_year=False, needs_gdp=False,
+            needs_recessions=False):
         p = sub.add_parser(name)
         p.set_defaults(func=func)
         p.add_argument("--trade", required=True, help="trade flow CSV")
         p.add_argument("--gdp", required=needs_gdp, help="GDP CSV")
-        p.add_argument("--recessions", help="recession windows CSV")
+        p.add_argument("--recessions", required=needs_recessions,
+                       help="recession windows CSV")
         if needs_year:
             p.add_argument("--year", type=int, required=True)
         else:
@@ -424,7 +421,7 @@ def build_parser():
     add("share-matrix", cmd_share_matrix, needs_year=True)
     add("shock", cmd_shock, needs_year=True, needs_gdp=True)
     add("recover", cmd_recover, needs_year=True, needs_gdp=True)
-    add("recessions-test", cmd_recessions_test)
+    add("recessions-test", cmd_recessions_test, needs_recessions=True)
     add("pipeline", cmd_pipeline)
     return parser
 
@@ -432,9 +429,6 @@ def build_parser():
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
-    if args.command == "recessions-test" and not args.recessions:
-        print("error: --recessions is required for recessions-test", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except (FileNotFoundError, ParseError, MissingGdp, ValueError) as exc:

@@ -83,10 +83,6 @@ class MissingGdp(TradeTopoError):
 
 # --- simulation ---
 
-class EmptyFlows(TradeTopoError):
-    pass
-
-
 class UnknownEpicenter(TradeTopoError):
     pass
 

@@ -36,12 +36,23 @@ RECESSION_HEADER = ["label", "start", "end"]
 SYMMETRIZATION_MODES = ("sum", "max", "mean")
 
 
-@dataclass(frozen=True)
-class TradeFlowRecord:
-    year: int
-    reporter: str
-    partner: str
-    export_value: float
+@dataclass(frozen=True, eq=False)
+class TradePanel:
+    """Directed trade flows as columns, one entry per kept row in file
+    order: value[k] USD exported by reporter[k] to partner[k] in year[k].
+    Self-loops are already dropped."""
+
+    year: np.ndarray
+    reporter: np.ndarray
+    partner: np.ndarray
+    value: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def years(self) -> list[int]:
+        """The distinct years, sorted."""
+        return np.unique(self.year).tolist()
 
 
 @dataclass(frozen=True)
@@ -88,12 +99,12 @@ def _parse_country(code, lineno):
     return code.upper()
 
 
-def parse_trade_csv(stream) -> list[TradeFlowRecord]:
+def parse_trade_csv(stream) -> TradePanel:
     """Parse directed trade flows; self-loops are dropped with a counted
     warning rather than rejected."""
     reader = csv.reader(_as_stream(stream))
     _check_header(next(reader, None), TRADE_HEADER, "trade")
-    records = []
+    years, reporters, partners, values = [], [], [], []
     self_loops = 0
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -114,17 +125,27 @@ def parse_trade_csv(stream) -> list[TradeFlowRecord]:
         if reporter == partner:
             self_loops += 1
             continue
-        records.append(TradeFlowRecord(year, reporter, partner, value))
+        years.append(year)
+        reporters.append(reporter)
+        partners.append(partner)
+        values.append(value)
     if self_loops:
         log.warning("dropped %d self-loop row(s)", self_loops)
-    return records
+    # years beyond int64 give an object array; codes keep their own width
+    # ("ßab" upper-cases to "SSAB")
+    return TradePanel(np.array(years), np.array(reporters, dtype=str),
+                      np.array(partners, dtype=str), np.array(values, dtype=float))
 
 
-def format_trade_csv(records) -> str:
-    """Canonical serialization; parse(format(parse(x))) == parse(x)."""
+def format_trade_csv(panel) -> str:
+    """Canonical serialization, which parse_trade_csv reads back to the
+    same columns."""
     lines = [",".join(TRADE_HEADER)]
-    for r in records:
-        lines.append(f"{r.year},{r.reporter},{r.partner},{r.export_value!r}")
+    for year, reporter, partner, value in zip(
+        panel.year.tolist(), panel.reporter.tolist(),
+        panel.partner.tolist(), panel.value.tolist(),
+    ):
+        lines.append(f"{year},{reporter},{partner},{value!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -189,23 +210,20 @@ def parse_recessions(stream) -> list[RecessionWindow]:
     return windows
 
 
-def directed_flows(records, year):
-    """Aggregate duplicate (reporter, partner) rows for one year into a
-    directed flow matrix over the active countries."""
-    flows: dict[tuple[str, str], float] = {}
-    for r in records:
-        if r.year != year:
-            continue
-        key = (r.reporter, r.partner)
-        flows[key] = flows.get(key, 0.0) + r.export_value
-    if not flows:
+def directed_flows(panel, year):
+    """Directed flow matrix of one year over its active countries (sorted);
+    duplicate (reporter, partner) rows are summed in file order."""
+    rows = panel.year == year
+    k = int(np.count_nonzero(rows))
+    if not k:
         raise EmptyYear(f"no trade records for year {year}")
-    countries = sorted({c for pair in flows for c in pair})
-    index = {c: i for i, c in enumerate(countries)}
+    countries, index = np.unique(
+        np.concatenate([panel.reporter[rows], panel.partner[rows]]),
+        return_inverse=True,
+    )
     x = np.zeros((len(countries), len(countries)))
-    for (rep, par), value in flows.items():
-        x[index[rep], index[par]] = value
-    return countries, x
+    np.add.at(x, (index[:k], index[k:]), panel.value[rows])
+    return countries.tolist(), x
 
 
 def symmetrize(year, countries, x, mode="sum") -> TradeNetwork:
@@ -226,6 +244,6 @@ def symmetrize(year, countries, x, mode="sum") -> TradeNetwork:
     return TradeNetwork(year=year, countries=list(countries), m=m)
 
 
-def build_network(records, year, mode="sum") -> TradeNetwork:
-    """Symmetrize one year of directed flow records into a TradeNetwork."""
-    return symmetrize(year, *directed_flows(records, year), mode)
+def build_network(panel, year, mode="sum") -> TradeNetwork:
+    """Symmetrize one year of a TradePanel into a TradeNetwork."""
+    return symmetrize(year, *directed_flows(panel, year), mode)

@@ -17,9 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import curve_fit
 
-from . import ingest
 from .errors import (
-    EmptyFlows,
     InsufficientPoints,
     MissingGdp,
     NoConvergence,
@@ -93,18 +91,6 @@ class RecoveryFit:
     lam: float  # decay rate per simulation step
     a: float
     y_inf: float
-
-
-def init_state(flows, gdp: dict) -> EconomyState:
-    """State from one year of directed flow records plus the GDP table."""
-    flows = list(flows)
-    if not flows:
-        raise EmptyFlows("no flow records supplied")
-    years = {r.year for r in flows}
-    if len(years) > 1:
-        raise ValueError(f"flows span several years: {sorted(years)}")
-    year = years.pop()
-    return year_state(year, *ingest.directed_flows(flows, year), gdp)
 
 
 def year_state(year, countries, x, gdp: dict) -> EconomyState:

@@ -10,6 +10,30 @@ import math
 import numpy as np
 
 
+def trade_csv(rows):
+    """Trade CSV text of (year, reporter, partner, value) rows; floats are
+    written with repr so that they parse back exactly."""
+    lines = ["year,reporter,partner,value_usd"]
+    lines += [f"{y},{r},{p},{v!r}" for y, r, p, v in rows]
+    return "\n".join(lines) + "\n"
+
+
+def brute_directed_flows(rows, year):
+    """(countries, matrix) of one year from (year, reporter, partner, value)
+    rows with normalized codes: duplicate pairs are summed into a dict in
+    row order, countries are every code of that year, sorted."""
+    flows = {}
+    for y, reporter, partner, value in rows:
+        if y == year:
+            flows[(reporter, partner)] = flows.get((reporter, partner), 0.0) + value
+    countries = sorted({c for pair in flows for c in pair})
+    index = {c: i for i, c in enumerate(countries)}
+    x = np.zeros((len(countries), len(countries)))
+    for (reporter, partner), value in flows.items():
+        x[index[reporter], index[partner]] = value
+    return countries, x
+
+
 def pearson_direct(x, y):
     """Direct evaluation of the product-moment formula."""
     x = list(map(float, x))

@@ -12,9 +12,8 @@ import time
 import numpy as np
 
 import helpers
-from tradetopo import cli, hclust, metrics, shockprop, stats, synthetic
+from tradetopo import cli, hclust, ingest, metrics, shockprop, stats, synthetic
 from tradetopo.hclust import CondensedDistances
-from tradetopo.ingest import TradeFlowRecord
 from tradetopo.shockprop import ShockConfig
 
 
@@ -113,13 +112,12 @@ def test_04_invariance_suite():
 
 
 def test_05_two_country_shock_fixture():
-    flows = [
-        TradeFlowRecord(2007, "USA", "WLD", 10.0),
-        TradeFlowRecord(2007, "WLD", "USA", 10.0),
-    ]
+    panel = ingest.parse_trade_csv(helpers.trade_csv(
+        [(2007, "USA", "WLD", 10.0), (2007, "WLD", "USA", 10.0)]
+    ))
     gdp = {(2007, "USA"): 100.0, (2007, "WLD"): 100.0}
     cfg = ShockConfig(epicenter="USA", shock_fraction=0.054)
-    initial = shockprop.init_state(flows, gdp)
+    initial = shockprop.year_state(2007, *ingest.directed_flows(panel, 2007), gdp)
     shockprop.run_to_steady(initial, cfg)  # warm up
     t0 = time.perf_counter()
     trace = shockprop.run_to_steady(initial, cfg)

@@ -131,6 +131,14 @@ class TestDendrogram:
         assert run("dendrogram", "--trade", trade, "--year", 1900,
                    "--out", tmp_path / "o") == 3
 
+    def test_cut_zero_writes_nothing(self, small_inputs, tmp_path, capsys):
+        trade, _ = small_inputs
+        out = tmp_path / "out"
+        assert run("dendrogram", "--trade", trade, "--year", 2000,
+                   "--cut", 0, "--out", out) == 2
+        assert "--cut" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestShareMatrix:
     def test_matrix_written(self, small_inputs, tmp_path):
@@ -221,6 +229,13 @@ class TestRecessionsTest:
         assert run("recessions-test", "--trade", trade, "--recessions", rec,
                    "--out", tmp_path / "o") == 3
         assert "no recession windows" in capsys.readouterr().err
+
+    def test_recessions_flag_required(self, small_inputs, tmp_path, capsys):
+        trade, _ = small_inputs
+        with pytest.raises(SystemExit) as exc:
+            run("recessions-test", "--trade", trade, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "--recessions" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -321,6 +336,14 @@ class TestPipeline:
         out = tmp_path / "out"
         assert self.run_fixture(fixtures_dir, out, recessions=rec) == 3
         assert "no recession windows" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("shock", ["1.5", "0"])
+    def test_bad_shock_writes_nothing(self, fixtures_dir, tmp_path, shock):
+        out = tmp_path / "out"
+        assert run("pipeline", "--trade", fixtures_dir / "trade.csv",
+                   "--gdp", fixtures_dir / "gdp.csv", "--shock", shock,
+                   "--out", out) == 2
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_window_outside_series_writes_nothing(self, fixtures_dir, tmp_path):

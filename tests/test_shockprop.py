@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 import helpers
-from tradetopo import errors, shockprop, synthetic
-from tradetopo.ingest import TradeFlowRecord
+from tradetopo import errors, ingest, shockprop, synthetic
 from tradetopo.shockprop import EconomyState, ShockConfig, SimulationTrace
 
 
+def state_of(rows, gdp, year=2007):
+    """year_state of (year, reporter, partner, value) rows, read as CSV."""
+    panel = ingest.parse_trade_csv(helpers.trade_csv(rows))
+    return shockprop.year_state(year, *ingest.directed_flows(panel, year), gdp)
+
+
 def two_country_state(y_u=100.0, y_w=100.0, x=10.0):
-    flows = [
-        TradeFlowRecord(2007, "USA", "WLD", x),
-        TradeFlowRecord(2007, "WLD", "USA", x),
-    ]
-    gdp = {(2007, "USA"): y_u, (2007, "WLD"): y_w}
-    return shockprop.init_state(flows, gdp)
+    rows = [(2007, "USA", "WLD", x), (2007, "WLD", "USA", x)]
+    return state_of(rows, {(2007, "USA"): y_u, (2007, "WLD"): y_w})
 
 
 def zero_trade_state(n=4, epi_share=0.5):
@@ -27,64 +28,27 @@ CFG = ShockConfig(epicenter="USA", shock_fraction=0.054)
 
 
 class TestInitState:
+    """The initial state of a simulation, built by year_state."""
+
     def test_export_ratios(self):
         st = two_country_state()
         assert np.allclose(st.p, [0.1, 0.1])
         assert st.countries == ("USA", "WLD")
 
     def test_zero_export_country(self):
-        flows = [TradeFlowRecord(2007, "USA", "WLD", 10.0)]
         gdp = {(2007, "USA"): 100.0, (2007, "WLD"): 100.0}
-        st = shockprop.init_state(flows, gdp)
+        st = state_of([(2007, "USA", "WLD", 10.0)], gdp)
         assert st.p[st.index("WLD")] == 0.0
 
     def test_missing_gdp(self):
-        flows = [TradeFlowRecord(2007, "USA", "WLD", 10.0)]
         with pytest.raises(errors.MissingGdp):
-            shockprop.init_state(flows, {(2007, "USA"): 100.0})
-
-    def test_empty_flows(self):
-        with pytest.raises(errors.EmptyFlows):
-            shockprop.init_state([], {})
+            state_of([(2007, "USA", "WLD", 10.0)], {(2007, "USA"): 100.0})
 
     def test_high_ratio_warns(self, caplog):
-        flows = [TradeFlowRecord(2007, "USA", "WLD", 150.0)]
         gdp = {(2007, "USA"): 100.0, (2007, "WLD"): 100.0}
         with caplog.at_level("WARNING"):
-            shockprop.init_state(flows, gdp)
+            state_of([(2007, "USA", "WLD", 150.0)], gdp)
         assert "USA" in caplog.text
-
-    def test_duplicate_rows_summed(self):
-        flows = [
-            TradeFlowRecord(2007, "USA", "WLD", 10.0),
-            TradeFlowRecord(2007, "WLD", "USA", 4.0),
-            TradeFlowRecord(2007, "USA", "WLD", 2.5),
-        ]
-        gdp = {(2007, "USA"): 100.0, (2007, "WLD"): 100.0}
-        st = shockprop.init_state(flows, gdp)
-        assert st.x[st.index("USA"), st.index("WLD")] == 12.5
-        assert st.x[st.index("WLD"), st.index("USA")] == 4.0
-        assert np.allclose(st.p, [0.125, 0.04])
-
-    def test_zero_valued_country_kept(self):
-        flows = [
-            TradeFlowRecord(2007, "USA", "WLD", 10.0),
-            TradeFlowRecord(2007, "CHN", "USA", 0.0),
-        ]
-        gdp = {(2007, c): 100.0 for c in ("CHN", "USA", "WLD")}
-        st = shockprop.init_state(flows, gdp)
-        assert st.countries == ("CHN", "USA", "WLD")
-        assert st.p[st.index("CHN")] == 0.0
-        assert st.x[st.index("CHN")].sum() == 0.0
-
-    def test_flows_spanning_two_years(self):
-        flows = [
-            TradeFlowRecord(2007, "USA", "WLD", 10.0),
-            TradeFlowRecord(2008, "USA", "WLD", 10.0),
-        ]
-        gdp = {(y, c): 100.0 for y in (2007, 2008) for c in ("USA", "WLD")}
-        with pytest.raises(ValueError, match="several years"):
-            shockprop.init_state(flows, gdp)
 
 
 class TestApplyShock:

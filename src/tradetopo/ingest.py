@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,18 +96,98 @@ def _check_header(row, expected, what):
 
 def _parse_country(code, lineno):
     code = code.strip()
-    if len(code) != 3 or not code.isalpha():
+    upper = code.upper()
+    if len(upper) != 3 or not upper.isalpha():
         raise BadCountryCode(f"bad country code {code!r}", line=lineno)
-    return code.upper()
+    return upper
+
+
+# U8 fields: a wider one is truncated, so a field of 8 or more characters
+# goes to the row parser
+_TRADE_DTYPE = [("year", "i8"), ("reporter", "U8"), ("partner", "U8"), ("value", "f8")]
 
 
 def parse_trade_csv(stream) -> TradePanel:
     """Parse directed trade flows; self-loops are dropped with a counted
-    warning rather than rejected."""
-    reader = csv.reader(_as_stream(stream))
+    warning rather than rejected.
+
+    The body is read with one np.loadtxt call and checked column-wise. If
+    either rejects any row, the row parser re-reads the whole stream: it
+    alone decides errors and their line numbers, and it accepts what
+    loadtxt does not (quoted fields, "1_000", years beyond int64)."""
+    stream = _as_stream(stream)
+    if not stream.seekable():
+        stream = io.StringIO(stream.read())
+    start = stream.tell()
+    _check_header(next(csv.reader(stream), None), TRADE_HEADER, "trade")
+    panel = _read_trade_columns(stream)
+    if panel is None:
+        stream.seek(start)
+        panel = _parse_trade_rows(stream)
+    return panel
+
+
+def _lines_without_nul(stream):
+    # a U column drops trailing NULs, which would read "USA\0" as "USA"
+    for line in stream:
+        if "\0" in line:
+            raise ValueError("NUL character")
+        yield line
+
+
+def _read_trade_columns(stream):
+    """TradePanel of the body in one np.loadtxt read, or None if any row
+    needs the row parser."""
+    lines = _lines_without_nul(stream)
+    try:
+        # loadtxt warns on a body without data, so look for one first
+        first = next((line for line in lines if line.strip("\r\n")), None)
+        if first is None:
+            return None
+        table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                           comments=None, dtype=_TRADE_DTYPE, ndmin=1)
+    except ValueError:
+        return None
+    value = table["value"]
+    if not (np.isfinite(value).all() and (value >= 0).all()):
+        return None
+    reporter = _country_codes(table["reporter"])
+    partner = _country_codes(table["partner"])
+    if reporter is None or partner is None:
+        return None
+    # copies, so that the panel does not keep the whole table alive
+    return _trade_panel(table["year"].copy(), reporter, partner, value.copy())
+
+
+def _country_codes(raw):
+    """_parse_country on a U8 column as <U3, or None if a code is bad."""
+    if (np.char.str_len(raw) >= 8).any():
+        return None
+    codes = np.char.strip(raw)
+    # str.upper runs per element, so only on the codes it changes
+    lower = ~np.char.isupper(codes)
+    if lower.any():
+        codes[lower] = np.char.upper(codes[lower])
+    if not ((np.char.str_len(codes) == 3).all() and np.char.isalpha(codes).all()):
+        return None
+    return codes.astype("U3")
+
+
+def _trade_panel(year, reporter, partner, value):
+    """TradePanel of parsed columns, with self-loops dropped and counted."""
+    loops = reporter == partner
+    if loops.any():
+        log.warning("dropped %d self-loop row(s)", np.count_nonzero(loops))
+        keep = ~loops
+        return TradePanel(year[keep], reporter[keep], partner[keep], value[keep])
+    return TradePanel(year, reporter, partner, value)
+
+
+def _parse_trade_rows(stream) -> TradePanel:
+    """parse_trade_csv one csv row at a time."""
+    reader = csv.reader(stream)
     _check_header(next(reader, None), TRADE_HEADER, "trade")
     years, reporters, partners, values = [], [], [], []
-    self_loops = 0
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -116,25 +198,20 @@ def parse_trade_csv(stream) -> TradePanel:
             value = float(row[3])
         except ValueError as exc:
             raise MalformedRow(str(exc), line=lineno) from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise MalformedRow(f"non-finite value {row[3]!r}", line=lineno)
         if value < 0:
             raise NegativeValue(f"negative trade value {value}", line=lineno)
-        reporter = _parse_country(row[1], lineno)
-        partner = _parse_country(row[2], lineno)
-        if reporter == partner:
-            self_loops += 1
-            continue
         years.append(year)
-        reporters.append(reporter)
-        partners.append(partner)
+        reporters.append(_parse_country(row[1], lineno))
+        partners.append(_parse_country(row[2], lineno))
         values.append(value)
-    if self_loops:
-        log.warning("dropped %d self-loop row(s)", self_loops)
-    # years beyond int64 give an object array; codes keep their own width
-    # ("ßab" upper-cases to "SSAB")
-    return TradePanel(np.array(years), np.array(reporters, dtype=str),
-                      np.array(partners, dtype=str), np.array(values, dtype=float))
+    try:
+        year = np.array(years, dtype=np.int64)
+    except OverflowError:  # years beyond int64 stay Python ints
+        year = np.array(years, dtype=object)
+    return _trade_panel(year, np.array(reporters, dtype="U3"),
+                        np.array(partners, dtype="U3"), np.array(values))
 
 
 def format_trade_csv(panel) -> str:
@@ -165,7 +242,7 @@ def parse_gdp_csv(stream) -> dict[tuple[int, str], float]:
         except ValueError as exc:
             raise MalformedRow(str(exc), line=lineno) from None
         country = _parse_country(row[1], lineno)
-        if not np.isfinite(gdp) or gdp <= 0:
+        if not math.isfinite(gdp) or gdp <= 0:
             raise NonPositiveGdp(f"gdp must be positive, got {row[2]!r}", line=lineno)
         key = (year, country)
         if key in table:

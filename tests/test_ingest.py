@@ -1,6 +1,9 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -51,6 +54,22 @@ def test_parse_trade_drops_self_loops(caplog):
 def test_parse_trade_errors_carry_line_numbers(row, exc):
     with pytest.raises(exc) as err:
         ingest.parse_trade_csv(TRADE_HEADER + row + "\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (ingest.parse_trade_csv, TRADE_HEADER + "2000,ßab,USA,2.5\n"),
+        (ingest.parse_gdp_csv, "year,country,gdp_usd\n2000,ßab,2.5\n"),
+    ],
+    ids=["trade", "gdp"],
+)
+def test_code_that_upper_cases_to_four_letters_rejected(parse, text):
+    # "ßab".upper() is "SSAB": codes are checked after normalizing, so
+    # format_trade_csv never writes a code that parse_trade_csv rejects
+    with pytest.raises(errors.BadCountryCode) as err:
+        parse(text)
     assert err.value.line == 2
 
 
@@ -232,12 +251,6 @@ PINNED_FLOWS = {
          (2000, "USA", "CAN", 7.0)],
         10**23, ["CAN", "USA"], [[0.0, 1.0], [2.5, 0.0]],
     ),
-    "sharp_s_upper_cases_to_four_letters": (
-        [(2000, "ßab", "usa", 2.5), (2000, " USA ", "ßAB", 1.0),
-         (2000, "USA", "ZZZ", 0.0)],
-        2000, ["SSAB", "USA", "ZZZ"],
-        [[0.0, 2.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-    ),
 }
 
 
@@ -283,3 +296,151 @@ def test_directed_flows_matches_dict_oracle(rows):
         want_countries, want_x = helpers.brute_directed_flows(kept, year)
         assert countries == want_countries
         assert np.array_equal(x, want_x)
+
+
+# The trade parser reads the body with np.loadtxt and re-reads the whole
+# stream with the row parser on any rejection; each case pins a place
+# where the two readers differ.
+FALLBACK_ERRORS = {
+    # loadtxt would drop "# c" as a comment by default
+    "comment_is_data": ("1969,USA,CAN,5 # c\n", errors.MalformedRow, 2),
+    # loadtxt skips blank lines without counting them
+    "blank_line_before_bad_row": ("\n\r\n1969,USA,CAN,-3\n", errors.NegativeValue, 4),
+    # a U8 field truncates "USA      X" to "USA     "
+    "wide_code_field": ("1969,USA      X,CAN,5\n", errors.BadCountryCode, 2),
+    # a U8 field drops trailing NULs
+    "code_with_nul": ("1969,USA\0,CAN,5\n", errors.BadCountryCode, 2),
+    "nan_value": ("1969,USA,CAN,nan\n", errors.MalformedRow, 2),
+    "overflowing_value": ("1969,USA,CAN,1e400\n", errors.MalformedRow, 2),
+    "whitespace_only_line": ("1969,USA,CAN,5\n  \n", errors.MalformedRow, 3),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_ERRORS)
+def test_parse_trade_fallback_errors(case):
+    body, exc, line = FALLBACK_ERRORS[case]
+    with pytest.raises(exc) as err:
+        ingest.parse_trade_csv(TRADE_HEADER + body)
+    assert err.value.line == line
+
+
+FALLBACK_ROWS = {
+    "quoted_code": ('1969,"usa",CAN,5\n', [(1969, "USA", "CAN", 5.0)]),
+    "underscore_value": ("1969,USA,CAN,1_000\n", [(1969, "USA", "CAN", 1000.0)]),
+    "year_beyond_int64": ("10" + "0" * 22 + ",USA,CAN,5\n", [(10**23, "USA", "CAN", 5.0)]),
+    "code_padded_to_eight": ("1969,USA     ,CAN,5\n", [(1969, "USA", "CAN", 5.0)]),
+    "header_only": ("", []),
+    "blank_lines_only": ("\n\r\n\n", []),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_ROWS)
+def test_parse_trade_fallback_rows(case):
+    body, rows = FALLBACK_ROWS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a body without data
+        panel = ingest.parse_trade_csv(TRADE_HEADER + body)
+    assert columns(panel) == rows
+
+
+@pytest.mark.parametrize("body,rows", [
+    ("1969,USA,CAN,8100000000\n1970,CAN,USA,2.5\r\n\n1970,CAN,CAN,1\n",
+     [(1969, "USA", "CAN", 8.1e9), (1970, "CAN", "USA", 2.5)]),
+    ("+1969, usa ,Can, 1e5 \n1970,can,usa,.5\n1970,usa,usa,-0\n",
+     [(1969, "USA", "CAN", 1e5), (1970, "CAN", "USA", 0.5)]),
+], ids=["upper_case", "mixed_case"])
+def test_parse_trade_clean_csv_skips_row_parser(body, rows, monkeypatch):
+    def row_parser(stream):
+        raise AssertionError("clean CSV fell back to the row parser")
+
+    monkeypatch.setattr(ingest, "_parse_trade_rows", row_parser)
+    panel = ingest.parse_trade_csv(TRADE_HEADER + body)
+    assert columns(panel) == rows
+    assert (panel.year.dtype, panel.reporter.dtype, panel.partner.dtype,
+            panel.value.dtype) == (np.int64, "<U3", "<U3", np.float64)
+
+
+def _edited_row(row):
+    """CSV line of four fields with one edit (i, text): field i becomes text,
+    is appended if i is 4, or is dropped if text is None."""
+    fields, (i, text) = row
+    fields = list(fields)
+    fields[i:i + 1] = [] if text is None else [text]
+    return ",".join(fields)
+
+
+csv_years = st.integers(1999, 2001).map(str)
+csv_codes = st.tuples(
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["USA", "CAN", "usa", "Mex"]),
+    st.sampled_from(["", " ", "   "]),
+).map("".join)
+csv_fields = st.tuples(csv_years, csv_codes, csv_codes,
+                       st.floats(0, 1e12, allow_nan=False).map(repr))
+clean_lines = st.one_of(csv_fields.map(",".join), st.just(""))
+# edits that only the row parser reads, or that it rejects
+EDITS = (
+    [(0, text) for text in ["+2000", " 2000 ", "2000.0", "1_999", "-0", "x", "",
+                            '"2000"', "100000000000000000000000"]]
+    + [(1, text) for text in ['"usa"', "USA      X", "USA     ", "US", "U5A",
+                              "ßab", "USA\0", ""]]
+    + [(2, text) for text in ['"CAN"', "CANADA", "can\x85"]]
+    + [(3, text) for text in ["1_000", ".5", "+5", "1e5", "nan", "inf", "1e400",
+                              "-3", "-0", "5 # c", '"5"', "", "abc", None]]
+    + [(4, "7")]
+)
+odd_lines = st.one_of(
+    st.tuples(csv_fields, st.sampled_from(EDITS)).map(_edited_row),
+    st.sampled_from(["  ", "\t"]),
+)
+# clean lines with at most one odd line among them, so that about half the
+# bodies take the loadtxt read and the rest need the row parser
+csv_bodies = st.tuples(
+    st.lists(clean_lines, max_size=12),
+    st.lists(odd_lines, max_size=1),
+    st.integers(0, 12),
+    st.sampled_from(["\n", "\r\n"]),
+).map(lambda t: "".join(
+    line + t[3] for line in t[0][:t[2]] + t[1] + t[0][t[2]:]))
+
+
+def _outcome(parse, text, caplog):
+    caplog.clear()
+    try:
+        panel = parse(io.StringIO(text))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "line", None))
+    return ("parsed", [(c.dtype, repr(c.tolist())) for c in (
+        panel.year, panel.reporter, panel.partner, panel.value)], caplog.text)
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=csv_bodies)
+def test_parse_trade_matches_row_parser(body, caplog):
+    text = TRADE_HEADER + body
+    with caplog.at_level("WARNING"):
+        assert (_outcome(ingest.parse_trade_csv, text, caplog)
+                == _outcome(ingest._parse_trade_rows, text, caplog))
+
+
+class OneWayStream(io.StringIO):
+    """A text stream that cannot seek, like a pipe."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def test_parse_trade_stream_that_cannot_seek():
+    # the row parser re-reads from the start, so the body is buffered first
+    panel = ingest.parse_trade_csv(OneWayStream(TRADE_HEADER + '1969,"usa",CAN,5\n'))
+    assert columns(panel) == [(1969, "USA", "CAN", 5.0)]
+    with pytest.raises(errors.NegativeValue) as err:
+        ingest.parse_trade_csv(OneWayStream(TRADE_HEADER + "1969,USA,CAN,-3\n"))
+    assert err.value.line == 2

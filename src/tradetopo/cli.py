@@ -1,9 +1,11 @@
 """Command-line batch pipelines over trade/GDP/recession CSV inputs.
 
-Exit codes: 0 success, 2 input/parse error, 3 empty or degenerate
-result, 4 non-convergence (partial trace still written). All floats in
-output files use 12 significant digits so repeated runs are
-byte-identical.
+Exit codes, chosen in main() by the class of the error: 0 success,
+2 input/parse error (ParseError, MissingGdp, a missing file, a bad
+option value), 3 empty or degenerate result (Degenerate, MissingYear),
+4 non-convergence (NoConvergence; the partial trace is still written).
+All floats in output files use 12 significant digits so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ import sys
 import tempfile
 
 from . import hclust, ingest, metrics, shockprop, stats
-from .errors import (
-    EmptyYear,
-    MissingGdp,
-    MissingYear,
-    NoConvergence,
-    ParseError,
-    TradeTopoError,
-)
+from .errors import Degenerate, MissingGdp, NoConvergence, ParseError, TradeTopoError
 
 log = logging.getLogger("tradetopo")
 
@@ -115,15 +110,18 @@ def select_years(args, available):
 def ccc_stage(args, panel):
     """Directed flows, networks and CCC series of the selected years; each
     year is aggregated once and a selected year without rows is skipped
-    with a warning."""
+    with a warning. Raises Degenerate when no year gives a CCC value."""
     flows = {}
     for year in select_years(args, panel.years()):
         try:
             flows[year] = ingest.directed_flows(panel, year)
-        except EmptyYear as exc:
+        except Degenerate as exc:
             log.warning("%s", exc)
     nets = [ingest.symmetrize(year, *f, args.mode) for year, f in flows.items()]
-    return flows, nets, metrics.ccc_series(nets)
+    series = metrics.ccc_series(nets)
+    if not series:
+        raise Degenerate("no year produced a CCC value")
+    return flows, nets, series
 
 
 def shock_config(args):
@@ -171,9 +169,6 @@ def cmd_ccc_series(args):
     panel = load_trade(args.trade)
     gdp = load_gdp(args.gdp) if args.gdp else None
     _, nets, series = ccc_stage(args, panel)
-    if not series:
-        log.error("no year produced a CCC value")
-        return EXIT_EMPTY
     _write_ccc_outputs(args, nets, series, gdp)
     return EXIT_OK
 
@@ -235,8 +230,7 @@ def cmd_shock(args):
         trace = shockprop.run_to_steady(state, config)
     except NoConvergence as exc:
         _write_trace(f"shock_trace_{args.year}", exc.trace, args)
-        log.error("%s", exc)
-        return EXIT_NO_CONVERGENCE
+        raise
     _write_trace(f"shock_trace_{args.year}", trace, args)
     write_json(
         os.path.join(args.out, f"shock_summary_{args.year}.json"),
@@ -271,8 +265,7 @@ def cmd_recover(args):
         shock_trace, recovery, fit = _shock_and_recover(state, config)
     except NoConvergence as exc:
         _write_trace(f"recovery_trace_{args.year}", exc.trace, args)
-        log.error("%s", exc)
-        return EXIT_NO_CONVERGENCE
+        raise
     _write_trace(f"recovery_trace_{args.year}", recovery, args)
     write_json(
         os.path.join(args.out, f"recovery_summary_{args.year}.json"),
@@ -287,16 +280,6 @@ def cmd_recover(args):
         },
     )
     return EXIT_OK
-
-
-def _recession_shift(series, windows):
-    """stats.recession_ccc_shift, or None (logged) when a window's
-    neighbouring years are missing from the series."""
-    try:
-        return stats.recession_ccc_shift(series, windows)
-    except MissingYear as exc:
-        log.error("%s", exc)
-        return None
 
 
 def _write_recessions_test(args, shift):
@@ -317,10 +300,7 @@ def cmd_recessions_test(args):
     panel = load_trade(args.trade)
     windows = load_recessions(args.recessions)
     _, _, series = ccc_stage(args, panel)
-    shift = _recession_shift(series, windows)
-    if shift is None:
-        return EXIT_EMPTY
-    _write_recessions_test(args, shift)
+    _write_recessions_test(args, stats.recession_ccc_shift(series, windows))
     return EXIT_OK
 
 
@@ -359,16 +339,11 @@ def cmd_pipeline(args):
     config = shock_config(args)
     flows, nets, series = ccc_stage(args, panel)
     del panel  # free the parsed rows before the shock and KS stages
-    if not series:
-        log.error("no year produced a CCC value")
-        return EXIT_EMPTY
     # check the windows before the first write, so that windows the series
     # does not cover leave no partial outputs
     shift = None
     if windows is not None:
-        shift = _recession_shift(series, windows)
-        if shift is None:
-            return EXIT_EMPTY
+        shift = stats.recession_ccc_shift(series, windows)
     _write_ccc_outputs(args, nets, series, gdp)
     if gdp is None:
         log.warning("no GDP data; shock and recovery stages skipped")
@@ -382,6 +357,14 @@ def cmd_pipeline(args):
 # --- argument parsing ---
 
 
+def _parent(*flags, **kwargs):
+    """A parser to pass as parents=, holding the option given, if any."""
+    p = argparse.ArgumentParser(add_help=False)
+    if flags:
+        p.add_argument(*flags, **kwargs)
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tradetopo",
@@ -389,40 +372,41 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_year=False, needs_gdp=False,
-            needs_recessions=False):
-        p = sub.add_parser(name)
-        p.set_defaults(func=func)
-        p.add_argument("--trade", required=True, help="trade flow CSV")
-        p.add_argument("--gdp", required=needs_gdp, help="GDP CSV")
-        p.add_argument("--recessions", required=needs_recessions,
-                       help="recession windows CSV")
-        if needs_year:
-            p.add_argument("--year", type=int, required=True)
-        else:
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--year", type=int)
-            group.add_argument("--years", metavar="A:B", help="inclusive year range")
-        p.add_argument("--mode", choices=ingest.SYMMETRIZATION_MODES, default="sum")
-        p.add_argument("--epicenter", default="USA")
-        p.add_argument("--shock", type=float, default=0.054,
+    trade = _parent("--trade", required=True, help="trade flow CSV")
+    out = _parent("--out", required=True, help="output directory")
+    gdp = _parent("--gdp", help="GDP CSV")
+    need_gdp = _parent("--gdp", required=True, help="GDP CSV")
+    recessions = _parent("--recessions", help="recession windows CSV")
+    need_recessions = _parent("--recessions", required=True,
+                              help="recession windows CSV")
+    year = _parent("--year", type=int, required=True)
+    years = _parent()
+    group = years.add_mutually_exclusive_group()
+    group.add_argument("--year", type=int)
+    group.add_argument("--years", metavar="A:B", help="inclusive year range")
+    mode = _parent("--mode", choices=ingest.SYMMETRIZATION_MODES, default="sum")
+    shock = _parent()
+    shock.add_argument("--epicenter", default="USA")
+    shock.add_argument("--shock", type=float, default=0.054,
                        help="epicenter GDP shock fraction")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-steps", type=int, default=100_000)
-        p.add_argument("--update", choices=shockprop.UPDATE_RULES,
+    shock.add_argument("--tol", type=float, default=1e-10)
+    shock.add_argument("--max-steps", type=int, default=100_000)
+    shock.add_argument("--update", choices=shockprop.UPDATE_RULES,
                        default="multiplicative")
-        p.add_argument("--cut", type=int, default=6, help="cluster count for cuts")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        return p
+    cut = _parent("--cut", type=int, default=6, help="cluster count for cuts")
+    table_format = _parent("--format", choices=("csv", "json"), default="csv")
 
-    add("ccc-series", cmd_ccc_series)
-    add("dendrogram", cmd_dendrogram, needs_year=True)
-    add("share-matrix", cmd_share_matrix, needs_year=True)
-    add("shock", cmd_shock, needs_year=True, needs_gdp=True)
-    add("recover", cmd_recover, needs_year=True, needs_gdp=True)
-    add("recessions-test", cmd_recessions_test, needs_recessions=True)
-    add("pipeline", cmd_pipeline)
+    def add(name, func, *options):
+        p = sub.add_parser(name, parents=[trade, *options, out])
+        p.set_defaults(func=func)
+
+    add("ccc-series", cmd_ccc_series, gdp, years, mode, table_format)
+    add("dendrogram", cmd_dendrogram, year, mode, cut, table_format)
+    add("share-matrix", cmd_share_matrix, year, mode)
+    add("shock", cmd_shock, need_gdp, year, shock, table_format)
+    add("recover", cmd_recover, need_gdp, year, shock, table_format)
+    add("recessions-test", cmd_recessions_test, need_recessions, years, mode)
+    add("pipeline", cmd_pipeline, gdp, recessions, years, mode, shock, table_format)
     return parser
 
 
@@ -432,14 +416,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FileNotFoundError, ParseError, MissingGdp, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except EmptyYear as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except TradeTopoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
+        error, code = exc, EXIT_INPUT
+    except NoConvergence as exc:
+        error, code = exc, EXIT_NO_CONVERGENCE
+    except Degenerate as exc:
+        error, code = exc, EXIT_EMPTY
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.cluster.hierarchy import cophenet
 from scipy.spatial.distance import squareform
 
-from .errors import BadK, BadLabel, SizeMismatch, TooFewCountries, TooFewItems
+from .errors import Degenerate
 
 NEWICK_METACHARS = set("(),:;")
 
@@ -30,7 +30,7 @@ class CondensedDistances:
         object.__setattr__(self, "values", values)
         expected = self.n * (self.n - 1) // 2
         if values.shape != (expected,):
-            raise SizeMismatch(
+            raise Degenerate(
                 f"expected {expected} condensed entries for n={self.n}, "
                 f"got {values.shape}"
             )
@@ -95,7 +95,7 @@ def distances_from_network(net) -> CondensedDistances:
     year's trade matrix; the closest pair sits at distance exactly 0."""
     n = net.n
     if n < 2:
-        raise TooFewCountries(f"need at least 2 countries, got {n}")
+        raise Degenerate(f"need at least 2 countries, got {n}")
     iu = np.triu_indices(n, k=1)
     upper = net.m[iu]
     return CondensedDistances(n=n, values=upper.max() - upper)
@@ -106,7 +106,7 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     update; ties broken on the lexicographically smallest id pair."""
     n = d.n
     if n < 2:
-        raise TooFewItems(f"need at least 2 items, got {n}")
+        raise Degenerate(f"need at least 2 items, got {n}")
     # dist is indexed by active slot; ids map slots to node ids
     dist = d.as_square()
     np.fill_diagonal(dist, np.inf)
@@ -186,12 +186,12 @@ def to_newick(dend: Dendrogram, labels) -> str:
     (root_height - node_height) / 2."""
     labels = list(labels)
     if len(labels) != dend.n_leaves:
-        raise SizeMismatch(
+        raise Degenerate(
             f"{len(labels)} labels for {dend.n_leaves} leaves"
         )
     for lab in labels:
         if NEWICK_METACHARS & set(lab):
-            raise BadLabel(f"label {lab!r} contains Newick metacharacters")
+            raise Degenerate(f"label {lab!r} contains Newick metacharacters")
     mins = _min_leaf(dend)
 
     def render(node, parent_height):
@@ -214,7 +214,7 @@ def cut_at_count(dend: Dendrogram, k: int) -> list[int]:
     labels follow leaf_order of first appearance."""
     n = dend.n_leaves
     if not 1 <= k <= n:
-        raise BadK(f"k must be in 1..{n}, got {k}")
+        raise Degenerate(f"k must be in 1..{n}, got {k}")
     parent = list(range(2 * n - 1))
 
     def find(x):

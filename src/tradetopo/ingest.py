@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadCountryCode,
-    DuplicateKey,
-    EmptyYear,
-    MalformedDate,
-    MalformedRow,
-    NegativeValue,
-    NonPositiveGdp,
-    StartAfterEnd,
-)
+from .errors import Degenerate, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +80,7 @@ def _as_stream(stream):
 
 def _check_header(row, expected, what):
     if row is None or [c.strip().lower() for c in row] != expected:
-        raise MalformedRow(
+        raise ParseError(
             f"{what} header must be {','.join(expected)}, got {row}", line=1
         )
 
@@ -98,7 +89,7 @@ def _parse_country(code, lineno):
     code = code.strip()
     upper = code.upper()
     if len(upper) != 3 or not upper.isalpha():
-        raise BadCountryCode(f"bad country code {code!r}", line=lineno)
+        raise ParseError(f"bad country code {code!r}", line=lineno)
     return upper
 
 
@@ -192,16 +183,16 @@ def _parse_trade_rows(stream) -> TradePanel:
         if not row:
             continue
         if len(row) != 4:
-            raise MalformedRow(f"expected 4 columns, got {len(row)}", line=lineno)
+            raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
         try:
             year = int(row[0])
             value = float(row[3])
         except ValueError as exc:
-            raise MalformedRow(str(exc), line=lineno) from None
+            raise ParseError(str(exc), line=lineno) from None
         if not math.isfinite(value):
-            raise MalformedRow(f"non-finite value {row[3]!r}", line=lineno)
+            raise ParseError(f"non-finite value {row[3]!r}", line=lineno)
         if value < 0:
-            raise NegativeValue(f"negative trade value {value}", line=lineno)
+            raise ParseError(f"negative trade value {value}", line=lineno)
         years.append(year)
         reporters.append(_parse_country(row[1], lineno))
         partners.append(_parse_country(row[2], lineno))
@@ -235,18 +226,18 @@ def parse_gdp_csv(stream) -> dict[tuple[int, str], float]:
         if not row:
             continue
         if len(row) != 3:
-            raise MalformedRow(f"expected 3 columns, got {len(row)}", line=lineno)
+            raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
         try:
             year = int(row[0])
             gdp = float(row[2])
         except ValueError as exc:
-            raise MalformedRow(str(exc), line=lineno) from None
+            raise ParseError(str(exc), line=lineno) from None
         country = _parse_country(row[1], lineno)
         if not math.isfinite(gdp) or gdp <= 0:
-            raise NonPositiveGdp(f"gdp must be positive, got {row[2]!r}", line=lineno)
+            raise ParseError(f"gdp must be positive, got {row[2]!r}", line=lineno)
         key = (year, country)
         if key in table:
-            raise DuplicateKey(f"duplicate gdp row for {key}", line=lineno)
+            raise ParseError(f"duplicate gdp row for {key}", line=lineno)
         table[key] = gdp
     return table
 
@@ -254,13 +245,13 @@ def parse_gdp_csv(stream) -> dict[tuple[int, str], float]:
 def _parse_year_month(text, lineno):
     parts = text.strip().split("-")
     if len(parts) != 2:
-        raise MalformedDate(f"expected YYYY-MM, got {text!r}", line=lineno)
+        raise ParseError(f"expected YYYY-MM, got {text!r}", line=lineno)
     try:
         year, month = int(parts[0]), int(parts[1])
     except ValueError:
-        raise MalformedDate(f"expected YYYY-MM, got {text!r}", line=lineno) from None
+        raise ParseError(f"expected YYYY-MM, got {text!r}", line=lineno) from None
     if not 1 <= month <= 12:
-        raise MalformedDate(f"month out of range in {text!r}", line=lineno)
+        raise ParseError(f"month out of range in {text!r}", line=lineno)
     return (year, month)
 
 
@@ -274,11 +265,11 @@ def parse_recessions(stream) -> list[RecessionWindow]:
         if not row:
             continue
         if len(row) != 3:
-            raise MalformedRow(f"expected 3 columns, got {len(row)}", line=lineno)
+            raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
         start = _parse_year_month(row[1], lineno)
         end = _parse_year_month(row[2], lineno)
         if start > end:
-            raise StartAfterEnd(f"window {row[0]!r} starts after it ends", line=lineno)
+            raise ParseError(f"window {row[0]!r} starts after it ends", line=lineno)
         windows.append(RecessionWindow(row[0].strip(), start, end))
     windows.sort(key=lambda w: w.start)
     for a, b in zip(windows, windows[1:]):
@@ -293,7 +284,7 @@ def directed_flows(panel, year):
     rows = panel.year == year
     k = int(np.count_nonzero(rows))
     if not k:
-        raise EmptyYear(f"no trade records for year {year}")
+        raise Degenerate(f"no trade records for year {year}")
     countries, index = np.unique(
         np.concatenate([panel.reporter[rows], panel.partner[rows]]),
         return_inverse=True,

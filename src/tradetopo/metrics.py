@@ -9,12 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hclust, stats
-from .errors import (
-    MissingGdp,
-    SizeMismatch,
-    TooFewItems,
-    TradeTopoError,
-)
+from .errors import Degenerate, MissingGdp, TradeTopoError
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +35,9 @@ def ccc(d: hclust.CondensedDistances, c: hclust.CondensedDistances) -> float:
     under any relabeling of the underlying items.
     """
     if d.n != c.n:
-        raise SizeMismatch(f"distance sizes differ: {d.n} vs {c.n}")
+        raise Degenerate(f"distance sizes differ: {d.n} vs {c.n}")
     if d.n < 3:
-        raise TooFewItems(f"CCC needs at least 3 items, got {d.n}")
+        raise Degenerate(f"CCC needs at least 3 items, got {d.n}")
     order = np.lexsort((c.values, d.values))
     return stats.pearson(d.values[order], c.values[order])
 
@@ -51,7 +46,7 @@ def ccc_of_network(net) -> CccPoint:
     """CCC of one year's trade network against its average-linkage tree."""
     d = hclust.distances_from_network(net)
     if net.n < 3:
-        raise TooFewItems(f"CCC needs at least 3 countries, got {net.n}")
+        raise Degenerate(f"CCC needs at least 3 countries, got {net.n}")
     c = hclust.cophenetic(hclust.average_linkage(d))
     return CccPoint(year=net.year, ccc=ccc(d, c), n_countries=net.n)
 
@@ -82,7 +77,7 @@ def share_matrix(net) -> ShareMatrix:
 def ordered_share_matrix(net, dend: hclust.Dendrogram) -> ShareMatrix:
     """share_matrix with rows/columns permuted into dendrogram leaf order."""
     if dend.n_leaves != net.n:
-        raise SizeMismatch(
+        raise Degenerate(
             f"dendrogram has {dend.n_leaves} leaves, network {net.n} countries"
         )
     base = share_matrix(net)

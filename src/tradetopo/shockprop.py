@@ -17,17 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .errors import (
-    InsufficientPoints,
-    MissingGdp,
-    NoConvergence,
-    NonFinite,
-    NonPositiveResiduals,
-    NotConverged,
-    SingleCountryWorld,
-    UnknownEpicenter,
-    ZeroEpicenterChange,
-)
+from .errors import Degenerate, MissingGdp, NoConvergence
 
 log = logging.getLogger(__name__)
 
@@ -50,11 +40,7 @@ class EconomyState:
         try:
             return self.countries.index(country)
         except ValueError:
-            raise UnknownEpicenter(f"{country!r} not in state") from None
-
-    @property
-    def world_gdp(self) -> float:
-        return float(self.y.sum())
+            raise Degenerate(f"{country!r} not in state") from None
 
 
 @dataclass(frozen=True)
@@ -131,7 +117,7 @@ def step(prev: EconomyState, cur: EconomyState, update_rule="multiplicative") ->
     else:
         y_next = cur.y + prev.p * (ratio - 1.0)
     if not (np.all(np.isfinite(y_next)) and np.all(y_next > 0) and np.all(np.isfinite(x_t))):
-        raise NonFinite("state left the finite positive domain")
+        raise Degenerate("state left the finite positive domain")
     return EconomyState(countries=cur.countries, y=y_next, x=x_t, p=prev.p)
 
 
@@ -183,7 +169,7 @@ def run_recovery(steady: EconomyState, initial_y_epicenter: float,
 def world_gdp_change(trace: SimulationTrace) -> float:
     """Relative change of total world GDP between the first and last step."""
     if not trace.converged:
-        raise NotConverged("trace did not reach steady state")
+        raise Degenerate("trace did not reach steady state")
     w = trace.world_gdp
     return float((w[-1] - w[0]) / w[0])
 
@@ -192,14 +178,14 @@ def impact_ratio(trace: SimulationTrace, epicenter: str) -> float:
     """F = (% change of world GDP excluding the epicenter) / (% change of
     the epicenter's GDP), measured first-to-last step."""
     if not trace.converged:
-        raise NotConverged("trace did not reach steady state")
+        raise Degenerate("trace did not reach steady state")
     if len(trace.countries) < 2:
-        raise SingleCountryWorld("impact ratio needs at least 2 countries")
+        raise Degenerate("impact ratio needs at least 2 countries")
     i = trace.countries.index(epicenter)
     first, last = trace.steps[0], trace.steps[-1]
     epi_change = (last[i] - first[i]) / first[i]
     if epi_change == 0:
-        raise ZeroEpicenterChange("epicenter GDP did not change")
+        raise Degenerate("epicenter GDP did not change")
     mask = np.arange(first.size) != i
     rest_first = first[mask].sum()
     rest_last = last[mask].sum()
@@ -216,15 +202,15 @@ def fit_recovery(trace: SimulationTrace, eps: float = 1e-12) -> RecoveryFit:
     precision despite the truncated tail.
     """
     if not trace.converged:
-        raise NotConverged("trace did not reach steady state")
+        raise Degenerate("trace did not reach steady state")
     w = trace.world_gdp
     y_end = float(w[-1])
     resid = y_end - w
     if np.any(resid < -eps * abs(y_end)):
-        raise NonPositiveResiduals("series overshoots its final value")
+        raise Degenerate("series overshoots its final value")
     mask = resid > eps * abs(y_end)
     if mask.sum() < 3:
-        raise InsufficientPoints(
+        raise Degenerate(
             f"only {int(mask.sum())} points below the final value"
         )
     t = np.arange(len(w), dtype=float)

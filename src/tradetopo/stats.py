@@ -10,12 +10,7 @@ from math import comb
 import numpy as np
 from scipy.special import kolmogorov
 
-from .errors import (
-    DegenerateVariance,
-    EmptySample,
-    MissingYear,
-    SizeMismatch,
-)
+from .errors import Degenerate, MissingYear
 
 # Above this many label assignments the p-value is asymptotic. The exact
 # count is O(n*m) at any size; the switch only fixes which `method` (and
@@ -36,9 +31,9 @@ def pearson(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
-        raise SizeMismatch(f"lengths differ: {x.shape} vs {y.shape}")
+        raise Degenerate(f"lengths differ: {x.shape} vs {y.shape}")
     if x.size < 3:
-        raise SizeMismatch(f"need at least 3 points, got {x.size}")
+        raise Degenerate(f"need at least 3 points, got {x.size}")
     dx = x - x.mean()
     dy = y - y.mean()
     # elementwise sums, not a BLAS dot, whose threads would make the last
@@ -46,7 +41,7 @@ def pearson(x, y) -> float:
     ss_x = float((dx * dx).sum())
     ss_y = float((dy * dy).sum())
     if ss_x == 0.0 or ss_y == 0.0:
-        raise DegenerateVariance("zero variance input")
+        raise Degenerate("zero variance input")
     return float((dx * dy).sum() / np.sqrt(ss_x * ss_y))
 
 
@@ -56,7 +51,7 @@ def _observed_gaps(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
-        raise EmptySample("both samples must be nonempty")
+        raise Degenerate("both samples must be nonempty")
     pooled = np.concatenate([a, b])
     order = np.argsort(pooled, kind="stable")
     ends = np.flatnonzero(np.append(np.diff(pooled[order]) != 0, True))
@@ -120,7 +115,7 @@ def recession_ccc_shift(series, windows):
     after recessions.
     """
     if not windows:
-        raise EmptySample("no recession windows to test")
+        raise Degenerate("no recession windows to test")
     by_year = {p.year: p.ccc for p in series}
     missing = [
         w for w in windows

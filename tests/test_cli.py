@@ -354,6 +354,66 @@ class TestPipeline:
         assert not out.exists() or list(out.iterdir()) == []
 
 
+class TestExitCodes:
+    # exit code, stderr fragment, argv ({d} is the input directory); every
+    # case also gets --out
+    CASES = {
+        "parse_error": (
+            2, "line 2: negative trade value", "ccc-series --trade {d}/bad.csv"),
+        "missing_gdp_row": (
+            2, "no GDP data for: CCC",
+            "shock --trade {d}/trade.csv --gdp {d}/gdp_no_ccc.csv --year 2000"
+            " --epicenter AAA"),
+        "shock_out_of_range": (
+            2, "shock_fraction must be in (0, 1), got 1.5",
+            "pipeline --trade {d}/trade.csv --gdp {d}/gdp.csv --shock 1.5"),
+        "window_outside_series": (
+            3, "CCC series does not cover window(s): w",
+            "recessions-test --trade {d}/trade.csv --recessions {d}/rec.csv"),
+        "no_year_in_range": (
+            3, "no year produced a CCC value",
+            "pipeline --trade {d}/trade.csv --years 1900:1901"),
+        "unknown_epicenter": (
+            3, "'XYZ' not in state",
+            "shock --trade {d}/trade.csv --gdp {d}/gdp.csv --year 2000"
+            " --epicenter XYZ"),
+        "no_convergence": (
+            4, "no steady state after 1 steps",
+            "shock --trade {d}/trade.csv --gdp {d}/gdp.csv --year 2000"
+            " --epicenter AAA --max-steps 1"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_and_message(self, case, small_inputs, tmp_path, capsys):
+        code, fragment, argv = self.CASES[case]
+        (tmp_path / "bad.csv").write_text(
+            "year,reporter,partner,value_usd\n2000,AAA,BBB,-1\n")
+        (tmp_path / "gdp_no_ccc.csv").write_text(
+            GDP3.replace("2000,CCC,100\n", ""))
+        (tmp_path / "rec.csv").write_text("label,start,end\nw,1980-01,1980-12\n")
+        argv = [arg.format(d=tmp_path) for arg in argv.split()]
+        assert run(*argv, "--out", tmp_path / "out") == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert fragment in err
+
+    @pytest.mark.parametrize("argv", [
+        ["share-matrix", "--year", "2000", "--format", "json"],
+        ["dendrogram", "--year", "2000", "--gdp", "nope.csv", "--shock", "5"],
+    ], ids=["share-matrix", "dendrogram"])
+    def test_option_the_command_does_not_read_is_rejected(
+            self, argv, small_inputs, tmp_path, capsys):
+        trade, _ = small_inputs
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--trade", trade, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tradetopo ")
+        assert f"error: unrecognized arguments: {' '.join(argv[3:])}\n" in err
+        assert not out.exists()
+
+
 class TestHelp:
     @pytest.mark.parametrize("argv", [["--help"], ["pipeline", "--help"]])
     def test_help_exits_zero(self, argv, tmp_path, monkeypatch, package_env):

@@ -1,4 +1,5 @@
 import io
+import re
 import warnings
 
 import numpy as np
@@ -41,18 +42,25 @@ def test_parse_trade_drops_self_loops(caplog):
 
 
 @pytest.mark.parametrize(
-    "row,exc",
-    [
-        ("1969,USA,CAN", errors.MalformedRow),
-        ("1969,USA,CAN,abc", errors.MalformedRow),
-        ("x,USA,CAN,1", errors.MalformedRow),
-        ("1969,USA,CAN,-3", errors.NegativeValue),
-        ("1969,US,CAN,1", errors.BadCountryCode),
-        ("1969,U5A,CAN,1", errors.BadCountryCode),
+    "row,message",
+    [  # each id names the kind of error its row makes
+        pytest.param("1969,USA,CAN", "expected 4 columns, got 3",
+                     id="1969,USA,CAN-MalformedRow"),
+        pytest.param("1969,USA,CAN,abc", "could not convert string to float",
+                     id="1969,USA,CAN,abc-MalformedRow"),
+        pytest.param("x,USA,CAN,1", "invalid literal for int",
+                     id="x,USA,CAN,1-MalformedRow"),
+        pytest.param("1969,USA,CAN,-3", "negative trade value -3.0",
+                     id="1969,USA,CAN,-3-NegativeValue"),
+        pytest.param("1969,US,CAN,1", "bad country code 'US'",
+                     id="1969,US,CAN,1-BadCountryCode"),
+        pytest.param("1969,U5A,CAN,1", "bad country code 'U5A'",
+                     id="1969,U5A,CAN,1-BadCountryCode"),
     ],
 )
-def test_parse_trade_errors_carry_line_numbers(row, exc):
-    with pytest.raises(exc) as err:
+def test_parse_trade_errors_carry_line_numbers(row, message):
+    with pytest.raises(errors.ParseError,
+                       match=f"^line 2: {re.escape(message)}") as err:
         ingest.parse_trade_csv(TRADE_HEADER + row + "\n")
     assert err.value.line == 2
 
@@ -68,13 +76,13 @@ def test_parse_trade_errors_carry_line_numbers(row, exc):
 def test_code_that_upper_cases_to_four_letters_rejected(parse, text):
     # "ßab".upper() is "SSAB": codes are checked after normalizing, so
     # format_trade_csv never writes a code that parse_trade_csv rejects
-    with pytest.raises(errors.BadCountryCode) as err:
+    with pytest.raises(errors.ParseError, match="bad country code 'ßab'") as err:
         parse(text)
     assert err.value.line == 2
 
 
 def test_parse_trade_bad_header():
-    with pytest.raises(errors.MalformedRow):
+    with pytest.raises(errors.ParseError, match="trade header must be"):
         ingest.parse_trade_csv("a,b,c,d\n1969,USA,CAN,1\n")
 
 
@@ -85,13 +93,13 @@ def test_parse_gdp_basic():
 
 def test_parse_gdp_duplicate_key():
     text = "year,country,gdp_usd\n2007,USA,1\n2007,USA,2\n"
-    with pytest.raises(errors.DuplicateKey):
+    with pytest.raises(errors.ParseError, match="duplicate gdp row"):
         ingest.parse_gdp_csv(text)
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_parse_gdp_nonpositive(value):
-    with pytest.raises(errors.NonPositiveGdp):
+    with pytest.raises(errors.ParseError, match="gdp must be positive"):
         ingest.parse_gdp_csv(f"year,country,gdp_usd\n2007,USA,{value}\n")
 
 
@@ -109,12 +117,12 @@ def test_parse_recessions_empty_body():
 
 
 def test_parse_recessions_start_after_end():
-    with pytest.raises(errors.StartAfterEnd):
+    with pytest.raises(errors.ParseError, match="starts after it ends"):
         ingest.parse_recessions("label,start,end\nx,2009-06,2007-12\n")
 
 
 def test_parse_recessions_bad_date():
-    with pytest.raises(errors.MalformedDate):
+    with pytest.raises(errors.ParseError, match="expected YYYY-MM, got '2009'"):
         ingest.parse_recessions("label,start,end\nx,2009,2010-01\n")
 
 
@@ -175,7 +183,7 @@ def test_build_network_excludes_inactive_countries():
 
 
 def test_build_network_empty_year():
-    with pytest.raises(errors.EmptyYear):
+    with pytest.raises(errors.Degenerate, match="no trade records for year 1999"):
         ingest.build_network(_panel((2000, "AAA", "BBB", 3.0)), 1999)
 
 
@@ -303,23 +311,24 @@ def test_directed_flows_matches_dict_oracle(rows):
 # where the two readers differ.
 FALLBACK_ERRORS = {
     # loadtxt would drop "# c" as a comment by default
-    "comment_is_data": ("1969,USA,CAN,5 # c\n", errors.MalformedRow, 2),
+    "comment_is_data": ("1969,USA,CAN,5 # c\n", "could not convert string to float", 2),
     # loadtxt skips blank lines without counting them
-    "blank_line_before_bad_row": ("\n\r\n1969,USA,CAN,-3\n", errors.NegativeValue, 4),
+    "blank_line_before_bad_row": ("\n\r\n1969,USA,CAN,-3\n", "negative trade value", 4),
     # a U8 field truncates "USA      X" to "USA     "
-    "wide_code_field": ("1969,USA      X,CAN,5\n", errors.BadCountryCode, 2),
+    "wide_code_field": ("1969,USA      X,CAN,5\n", "bad country code 'USA      X'", 2),
     # a U8 field drops trailing NULs
-    "code_with_nul": ("1969,USA\0,CAN,5\n", errors.BadCountryCode, 2),
-    "nan_value": ("1969,USA,CAN,nan\n", errors.MalformedRow, 2),
-    "overflowing_value": ("1969,USA,CAN,1e400\n", errors.MalformedRow, 2),
-    "whitespace_only_line": ("1969,USA,CAN,5\n  \n", errors.MalformedRow, 3),
+    "code_with_nul": ("1969,USA\0,CAN,5\n", "bad country code 'USA\\x00'", 2),
+    "nan_value": ("1969,USA,CAN,nan\n", "non-finite value 'nan'", 2),
+    "overflowing_value": ("1969,USA,CAN,1e400\n", "non-finite value '1e400'", 2),
+    "whitespace_only_line": ("1969,USA,CAN,5\n  \n", "expected 4 columns, got 1", 3),
 }
 
 
 @pytest.mark.parametrize("case", FALLBACK_ERRORS)
 def test_parse_trade_fallback_errors(case):
-    body, exc, line = FALLBACK_ERRORS[case]
-    with pytest.raises(exc) as err:
+    body, message, line = FALLBACK_ERRORS[case]
+    with pytest.raises(errors.ParseError,
+                       match=f"^line {line}: {re.escape(message)}") as err:
         ingest.parse_trade_csv(TRADE_HEADER + body)
     assert err.value.line == line
 
@@ -441,6 +450,6 @@ def test_parse_trade_stream_that_cannot_seek():
     # the row parser re-reads from the start, so the body is buffered first
     panel = ingest.parse_trade_csv(OneWayStream(TRADE_HEADER + '1969,"usa",CAN,5\n'))
     assert columns(panel) == [(1969, "USA", "CAN", 5.0)]
-    with pytest.raises(errors.NegativeValue) as err:
+    with pytest.raises(errors.ParseError, match="negative trade value") as err:
         ingest.parse_trade_csv(OneWayStream(TRADE_HEADER + "1969,USA,CAN,-3\n"))
     assert err.value.line == 2

@@ -44,15 +44,15 @@ class TestCcc:
         assert metrics.ccc(d, d) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_variance(self):
-        with pytest.raises(errors.DegenerateVariance):
+        with pytest.raises(errors.Degenerate, match="zero variance input"):
             metrics.ccc(cd([3.0, 3.0, 3.0]), cd([1.0, 2.0, 3.0]))
 
     def test_size_mismatch(self):
-        with pytest.raises(errors.SizeMismatch):
+        with pytest.raises(errors.Degenerate, match="distance sizes differ"):
             metrics.ccc(cd([1.0]), cd([1.0, 2.0, 3.0]))
 
     def test_too_few(self):
-        with pytest.raises(errors.TooFewItems):
+        with pytest.raises(errors.Degenerate, match="CCC needs at least 3 items"):
             metrics.ccc(cd([1.0]), cd([2.0]))
 
     def test_range(self):
@@ -76,7 +76,7 @@ class TestCccOfNetwork:
         assert point.year == 2000 and point.n_countries == 3
 
     def test_equal_trade_degenerate(self):
-        with pytest.raises(errors.DegenerateVariance):
+        with pytest.raises(errors.Degenerate, match="zero variance input"):
             metrics.ccc_of_network(net_from_upper([4.0, 4.0, 4.0]))
 
     def test_block_network_beats_uniform(self):
@@ -198,7 +198,7 @@ class TestOrderedShareMatrix:
         dend = hclust.average_linkage(
             hclust.distances_from_network(random_net(1, n=4))
         )
-        with pytest.raises(errors.SizeMismatch):
+        with pytest.raises(errors.Degenerate, match="leaves, network"):
             metrics.ordered_share_matrix(net, dend)
 
 

@@ -65,7 +65,7 @@ class TestApplyShock:
         assert shocked.y[0] == pytest.approx(100.0, rel=1e-11)
 
     def test_unknown_epicenter(self):
-        with pytest.raises(errors.UnknownEpicenter):
+        with pytest.raises(errors.Degenerate, match="'XXX' not in state"):
             shockprop.apply_shock(
                 two_country_state(), ShockConfig(epicenter="XXX")
             )
@@ -180,7 +180,7 @@ class TestWorldGdpChange:
 
     def test_not_converged(self):
         trace = SimulationTrace(("A",), [np.array([1.0])], converged=False)
-        with pytest.raises(errors.NotConverged):
+        with pytest.raises(errors.Degenerate, match="did not reach steady state"):
             shockprop.world_gdp_change(trace)
 
 
@@ -202,7 +202,7 @@ class TestImpactRatio:
         trace = SimulationTrace(
             ("AAA",), [np.array([100.0]), np.array([90.0])], converged=True
         )
-        with pytest.raises(errors.SingleCountryWorld):
+        with pytest.raises(errors.Degenerate, match="needs at least 2 countries"):
             shockprop.impact_ratio(trace, "AAA")
 
     def test_zero_epicenter_change(self):
@@ -211,7 +211,7 @@ class TestImpactRatio:
             [np.array([100.0, 50.0]), np.array([100.0, 50.0])],
             converged=True,
         )
-        with pytest.raises(errors.ZeroEpicenterChange):
+        with pytest.raises(errors.Degenerate, match="epicenter GDP did not change"):
             shockprop.impact_ratio(trace, "AAA")
 
 
@@ -256,7 +256,7 @@ class TestFitRecovery:
         assert fit.y_inf == pytest.approx(100.0, abs=1e-9)
 
     def test_flat_trace(self):
-        with pytest.raises(errors.InsufficientPoints):
+        with pytest.raises(errors.Degenerate, match="only 0 points below"):
             shockprop.fit_recovery(self.make_trace(np.full(10, 50.0)))
 
     def test_two_country_recovery_rate_positive(self):
@@ -267,7 +267,7 @@ class TestFitRecovery:
 
     def test_not_converged(self):
         trace = SimulationTrace(("A",), [np.array([1.0])], converged=False)
-        with pytest.raises(errors.NotConverged):
+        with pytest.raises(errors.Degenerate, match="did not reach steady state"):
             shockprop.fit_recovery(trace)
 
 

@@ -1,10 +1,10 @@
 """Command-line batch pipelines over trade/GDP/recession CSV inputs.
 
 Exit codes, chosen in main() by the class of the error: 0 success,
-2 input/parse error (ParseError, MissingGdp, a missing file, a bad
-option value), 3 empty or degenerate result (Degenerate, MissingYear),
-4 non-convergence (NoConvergence; the partial trace is still written).
-All floats in output files use 12 significant digits so repeated runs
+2 input/parse error (ParseError, MissingGdp, a missing or unreadable
+file, a bad option value), 3 empty or degenerate result (Degenerate,
+MissingYear), 4 non-convergence (NoConvergence; the partial trace is
+still written). All floats in output files use 12 significant digits so repeated runs
 are byte-identical.
 """
 
@@ -339,6 +339,11 @@ def cmd_pipeline(args):
     config = shock_config(args)
     flows, nets, series = ccc_stage(args, panel)
     del panel  # free the parsed rows before the shock and KS stages
+    # an epicenter absent from every year is a bad option, not a per-year skip
+    if gdp is not None and not any(
+        args.epicenter in flows[point.year][0] for point in series
+    ):
+        raise Degenerate(f"{args.epicenter!r} not in state")
     # check the windows before the first write, so that windows the series
     # does not cover leave no partial outputs
     shift = None
@@ -415,7 +420,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ParseError, MissingGdp, ValueError) as exc:
+    except (OSError, ParseError, MissingGdp, ValueError) as exc:
         error, code = exc, EXIT_INPUT
     except NoConvergence as exc:
         error, code = exc, EXIT_NO_CONVERGENCE

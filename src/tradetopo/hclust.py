@@ -103,7 +103,15 @@ def distances_from_network(net) -> CondensedDistances:
 
 def average_linkage(d: CondensedDistances) -> Dendrogram:
     """UPGMA-style agglomeration with the unweighted Lance-Williams
-    update; ties broken on the lexicographically smallest id pair."""
+    update; ties broken on the lexicographically smallest id pair.
+
+    The m active clusters occupy the top-left m x m block of dist, one
+    slot each. A merge writes the new row into the lower of its two slots
+    and frees the higher one by moving the last active slot into it, so
+    one row-minimum pass is the only O(m^2) work per merge. The update
+    adds the same two products whichever slot holds which cluster, so
+    the dendrogram does not depend on the slot layout.
+    """
     n = d.n
     if n < 2:
         raise Degenerate(f"need at least 2 items, got {n}")
@@ -114,27 +122,34 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     sizes = [1] * n
     merges = []
     for k in range(n - 1):
-        height = dist.min()
+        last = n - k - 1
+        block = dist[: last + 1, : last + 1]
+        rowmin = block.min(axis=1)
+        height = rowmin.min()
+        # both ends of every pair at the global minimum reach it in their row
+        rows = np.flatnonzero(rowmin == height)
+        hits, cols = np.nonzero(block[rows] == height)
         best = None
-        for a, b in zip(*np.where(dist == height)):
-            if a >= b:
-                continue
+        for a, b in zip(rows[hits].tolist(), cols.tolist()):
             i, j = ids[a], ids[b]
             if i > j:
                 i, j = j, i
             if best is None or (i, j) < best[0]:
-                best = ((i, j), a, b)
+                best = ((i, j), min(a, b), max(a, b))
         (left, right), a, b = best
         height = float(height)
         new_size = sizes[a] + sizes[b]
-        # unweighted average update into slot a, then drop slot b
-        row = (sizes[a] * dist[a] + sizes[b] * dist[b]) / new_size
-        dist[a], dist[:, a] = row, row
-        dist[a, a] = np.inf
-        dist = np.delete(np.delete(dist, b, axis=0), b, axis=1)
-        ids[a] = n + k
-        sizes[a] = new_size
-        del ids[b], sizes[b]
+        # unweighted average update into slot a
+        row = (sizes[a] * block[a] + sizes[b] * block[b]) / new_size
+        block[a], block[:, a] = row, row
+        block[a, a] = np.inf
+        # free slot b (a < b <= last): the last active slot moves into it
+        block[b, :last] = block[last, :last]
+        block[:last, b] = block[:last, last]
+        block[b, b] = np.inf
+        ids[a], sizes[a] = n + k, new_size
+        ids[b], sizes[b] = ids[last], sizes[last]
+        del ids[last], sizes[last]
         merges.append(Merge(left=left, right=right, height=height, size=new_size))
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 

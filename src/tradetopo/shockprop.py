@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import Degenerate, MissingGdp, NoConvergence
 
@@ -216,6 +215,10 @@ def fit_recovery(trace: SimulationTrace, eps: float = 1e-12) -> RecoveryFit:
     t = np.arange(len(w), dtype=float)
     slope, intercept = np.polyfit(t[mask], np.log(resid[mask]), 1)
     lam0, a0 = -slope, float(np.exp(intercept))
+
+    # imported here: scipy.optimize is the slowest import of the package,
+    # and only the recovery fit needs it
+    from scipy.optimize import curve_fit
 
     def model(tt, y_inf, a, lam):
         return y_inf - a * np.exp(-lam * tt)

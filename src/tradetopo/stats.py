@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .errors import Degenerate, MissingYear
 
@@ -89,6 +88,8 @@ def ks_two_sample(a, b) -> KsResult:
         p = _exact_p(n, m, ends, d, two_sided=True)
         method = "exact-permutation"
     else:
+        from scipy.special import kolmogorov
+
         en = np.sqrt(n * m / (n + m))
         p = float(min(1.0, max(kolmogorov(en * d), np.finfo(float).tiny)))
         method = "asymptotic"

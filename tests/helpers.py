@@ -77,6 +77,40 @@ def brute_average_linkage_heights(n, condensed):
     return heights
 
 
+def delete_average_linkage(n, condensed):
+    """Average linkage on a matrix that shrinks by two np.delete copies
+    per merge, with the library's tie rule (smallest sorted node-id pair)
+    and its update arithmetic, so its merges must match bit for bit.
+    Returns (left, right, height, size) per merge."""
+    dist = condensed_to_square(n, condensed)
+    np.fill_diagonal(dist, np.inf)
+    ids = list(range(n))
+    sizes = [1] * n
+    merges = []
+    for k in range(n - 1):
+        height = dist.min()
+        best = None
+        for a, b in zip(*np.where(dist == height)):
+            if a >= b:
+                continue
+            i, j = ids[a], ids[b]
+            if i > j:
+                i, j = j, i
+            if best is None or (i, j) < best[0]:
+                best = ((i, j), a, b)
+        (left, right), a, b = best
+        new_size = sizes[a] + sizes[b]
+        row = (sizes[a] * dist[a] + sizes[b] * dist[b]) / new_size
+        dist[a], dist[:, a] = row, row
+        dist[a, a] = np.inf
+        dist = np.delete(np.delete(dist, b, axis=0), b, axis=1)
+        ids[a] = n + k
+        sizes[a] = new_size
+        del ids[b], sizes[b]
+        merges.append((left, right, float(height), new_size))
+    return merges
+
+
 def brute_cophenetic(n, merges):
     """Condensed cophenetic distances from the definition: c_ij is the
     height of the first merge, in merge order, that joins a cluster

@@ -353,6 +353,29 @@ class TestPipeline:
         assert self.run_fixture(fixtures_dir, out, recessions=rec) == 3
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_unknown_epicenter_writes_nothing(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run("pipeline", "--trade", fixtures_dir / "trade.csv",
+                   "--gdp", fixtures_dir / "gdp.csv", "--epicenter", "XYZ",
+                   "--out", out) == 3
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_epicenter_missing_from_some_years_skips_them(
+            self, fixtures_dir, tmp_path, caplog):
+        lines = (fixtures_dir / "trade.csv").read_text().splitlines()
+        trade = tmp_path / "trade.csv"
+        trade.write_text("\n".join(
+            ln for ln in lines
+            if not (ln.startswith("1995,") and "MEX" in ln)) + "\n")
+        out = tmp_path / "out"
+        assert run("pipeline", "--trade", trade,
+                   "--gdp", fixtures_dir / "gdp.csv", "--epicenter", "MEX",
+                   "--out", out) == 0
+        years = [ln.split(",")[0]
+                 for ln in (out / "fig4a.csv").read_text().splitlines()[1:]]
+        assert "1995" not in years and "1996" in years
+        assert "year 1995: shock scenario skipped: 'MEX' not in state" in caplog.text
+
 
 class TestExitCodes:
     # exit code, stderr fragment, argv ({d} is the input directory); every
@@ -377,6 +400,11 @@ class TestExitCodes:
             3, "'XYZ' not in state",
             "shock --trade {d}/trade.csv --gdp {d}/gdp.csv --year 2000"
             " --epicenter XYZ"),
+        "unknown_epicenter_pipeline": (
+            3, "'XYZ' not in state",
+            "pipeline --trade {d}/trade.csv --gdp {d}/gdp.csv --epicenter XYZ"),
+        "trade_is_directory": (
+            2, "Is a directory", "ccc-series --trade {d}"),
         "no_convergence": (
             4, "no steady state after 1 steps",
             "shock --trade {d}/trade.csv --gdp {d}/gdp.csv --year 2000"
@@ -425,3 +453,13 @@ class TestHelp:
         assert proc.returncode == 0
         assert "usage" in proc.stdout.lower()
         assert list(tmp_path.iterdir()) == []
+
+    def test_import_leaves_scipy_optimize_unloaded(self, package_env):
+        # scipy.optimize is the slowest import; only the recovery fit loads it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, tradetopo.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env=package_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

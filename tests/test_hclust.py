@@ -30,6 +30,27 @@ random_condensed = st.integers(0, 10_000).map(
 )
 
 
+def condensed_from(values):
+    """Condensed inputs with n in 2..40 whose entries values(rng, count)
+    draws from a hypothesis-chosen seed."""
+    return st.tuples(st.integers(2, 40), st.integers(0, 2**32 - 1)).map(
+        lambda ns: cd(values(np.random.default_rng(ns[1]), ns[0] * (ns[0] - 1) // 2))
+    )
+
+
+def tie_levels(rng, count):
+    return rng.integers(0, 4, count).astype(float)
+
+
+def continuous(rng, count):
+    return rng.uniform(0, 10, count)
+
+
+def delete_oracle(d):
+    merges = helpers.delete_average_linkage(d.n, d.values)
+    return hclust.Dendrogram(d.n, tuple(hclust.Merge(*m) for m in merges))
+
+
 class TestCondensedDistances:
     def test_length_checked(self):
         with pytest.raises(errors.Degenerate, match="expected 6 condensed entries"):
@@ -93,6 +114,17 @@ class TestAverageLinkage:
     def test_too_few(self):
         with pytest.raises(errors.Degenerate, match="need at least 2 items"):
             hclust.average_linkage(hclust.CondensedDistances(1, np.zeros(0)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(condensed_from(tie_levels), condensed_from(continuous)))
+    def test_matches_delete_oracle(self, d):
+        assert hclust.average_linkage(d) == delete_oracle(d)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    @pytest.mark.parametrize("values", [tie_levels, continuous])
+    def test_matches_delete_oracle_pinned(self, n, values):
+        d = cd(values(np.random.default_rng(n), n * (n - 1) // 2))
+        assert hclust.average_linkage(d) == delete_oracle(d)
 
     @settings(max_examples=150, deadline=None)
     @given(random_condensed)

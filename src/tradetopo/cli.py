@@ -199,12 +199,11 @@ def cmd_share_matrix(args):
     net = ingest.build_network(load_trade(args.trade), args.year, args.mode)
     dend = hclust.average_linkage(hclust.distances_from_network(net))
     share = metrics.ordered_share_matrix(net, dend)
-    lines = ["," + ",".join(share.countries)]
-    for country, row in zip(share.countries, share.s):
-        lines.append(country + "," + ",".join(fmt(float(v)) for v in row))
-    atomic_write(
+    write_table(
         os.path.join(args.out, f"share_matrix_{net.year}.csv"),
-        "\n".join(lines) + "\n",
+        ["", *share.countries],
+        [(country, *row) for country, row in zip(share.countries, share.s.tolist())],
+        "csv",
     )
     return EXIT_OK
 
@@ -362,6 +361,17 @@ def cmd_pipeline(args):
 # --- argument parsing ---
 
 
+def _positive(convert):
+    """An argparse type= that accepts only convert(text) > 0."""
+    def check(text):
+        value = convert(text)
+        if not value > 0:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    check.__name__ = convert.__name__  # argparse: "invalid float value"
+    return check
+
+
 def _parent(*flags, **kwargs):
     """A parser to pass as parents=, holding the option given, if any."""
     p = argparse.ArgumentParser(add_help=False)
@@ -391,11 +401,13 @@ def build_parser():
     group.add_argument("--years", metavar="A:B", help="inclusive year range")
     mode = _parent("--mode", choices=ingest.SYMMETRIZATION_MODES, default="sum")
     shock = _parent()
-    shock.add_argument("--epicenter", default="USA")
+    # normalized like the country codes of the input files
+    shock.add_argument("--epicenter", default="USA",
+                       type=lambda code: code.strip().upper())
     shock.add_argument("--shock", type=float, default=0.054,
                        help="epicenter GDP shock fraction")
-    shock.add_argument("--tol", type=float, default=1e-10)
-    shock.add_argument("--max-steps", type=int, default=100_000)
+    shock.add_argument("--tol", type=_positive(float), default=1e-10)
+    shock.add_argument("--max-steps", type=_positive(int), default=100_000)
     shock.add_argument("--update", choices=shockprop.UPDATE_RULES,
                        default="multiplicative")
     cut = _parent("--cut", type=int, default=6, help="cluster count for cuts")

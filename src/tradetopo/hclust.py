@@ -76,19 +76,6 @@ class Dendrogram:
         if self.merges and self.merges[-1].size != n:
             raise ValueError("final merge must contain all leaves")
 
-    @property
-    def root(self) -> int:
-        return 2 * self.n_leaves - 2
-
-    def node_height(self, node) -> float:
-        if node < self.n_leaves:
-            return 0.0
-        return self.merges[node - self.n_leaves].height
-
-    def children(self, node):
-        m = self.merges[node - self.n_leaves]
-        return m.left, m.right
-
 
 def distances_from_network(net) -> CondensedDistances:
     """d_ij = M* - M_ij with M* the maximum off-diagonal entry of this
@@ -162,37 +149,29 @@ def cophenetic(dend: Dendrogram) -> CondensedDistances:
     return CondensedDistances(n=dend.n_leaves, values=cophenet(z))
 
 
-def _min_leaf(dend: Dendrogram) -> list[int]:
+def _merges_in_order(dend: Dendrogram):
+    """(node, first, second) for each merge in merge order, first being
+    the child whose subtree holds the smaller leaf id. Every child comes
+    before its parent, so the tree products build bottom-up in one loop."""
     mins = list(range(dend.n_leaves))
-    for m in dend.merges:
-        mins.append(min(mins[m.left], mins[m.right]))
-    return mins
-
-
-def _ordered_children(dend, node, mins):
-    left, right = dend.children(node)
-    if mins[left] <= mins[right]:
-        return left, right
-    return right, left
+    for node, m in enumerate(dend.merges, start=dend.n_leaves):
+        first, second = m.left, m.right
+        if mins[second] < mins[first]:
+            first, second = second, first
+        mins.append(mins[first])
+        yield node, first, second
 
 
 def leaf_order(dend: Dendrogram) -> list[int]:
-    """Left-to-right leaf sequence from a depth-first traversal; the
-    child whose subtree holds the smallest leaf id is visited first."""
-    if dend.n_leaves == 1:
-        return [0]
-    mins = _min_leaf(dend)
-    order = []
-    stack = [dend.root]
-    while stack:
-        node = stack.pop()
-        if node < dend.n_leaves:
-            order.append(node)
-        else:
-            first, second = _ordered_children(dend, node, mins)
-            stack.append(second)
-            stack.append(first)
-    return order
+    """Left-to-right leaf sequence of the tree drawn with the child whose
+    subtree holds the smallest leaf id first."""
+    # order[node] is its subtree's sequence; a merge extends its first
+    # child's list in place, which no later merge reads again
+    order = [[leaf] for leaf in range(dend.n_leaves)]
+    for _, first, second in _merges_in_order(dend):
+        order[first] += order[second]
+        order.append(order[first])
+    return order[-1]
 
 
 def to_newick(dend: Dendrogram, labels) -> str:
@@ -207,21 +186,15 @@ def to_newick(dend: Dendrogram, labels) -> str:
     for lab in labels:
         if NEWICK_METACHARS & set(lab):
             raise Degenerate(f"label {lab!r} contains Newick metacharacters")
-    mins = _min_leaf(dend)
-
-    def render(node, parent_height):
-        height = dend.node_height(node)
-        if node < dend.n_leaves:
-            body = labels[node]
-        else:
-            first, second = _ordered_children(dend, node, mins)
-            body = f"({render(first, height)},{render(second, height)})"
-        if parent_height is None:
-            return body
-        branch = (parent_height - height) / 2.0
-        return f"{body}:{branch:.12g}"
-
-    return render(dend.root, None) + ";"
+    heights = [0.0] * dend.n_leaves + [m.height for m in dend.merges]
+    text = list(labels)
+    for node, first, second in _merges_in_order(dend):
+        h = heights[node]
+        text.append(
+            f"({text[first]}:{(h - heights[first]) / 2.0:.12g},"
+            f"{text[second]}:{(h - heights[second]) / 2.0:.12g})"
+        )
+    return text[-1] + ";"
 
 
 def cut_at_count(dend: Dendrogram, k: int) -> list[int]:
@@ -230,23 +203,14 @@ def cut_at_count(dend: Dendrogram, k: int) -> list[int]:
     n = dend.n_leaves
     if not 1 <= k <= n:
         raise Degenerate(f"k must be in 1..{n}, got {k}")
-    parent = list(range(2 * n - 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for idx, m in enumerate(dend.merges[: n - k]):
-        new = n + idx
-        parent[find(m.left)] = new
-        parent[find(m.right)] = new
+    # top-down over the kept merges: each child joins its parent's cluster,
+    # named by the highest kept node above it
+    cluster = list(range(2 * n - 1))
+    for node in range(2 * n - k - 1, n - 1, -1):
+        m = dend.merges[node - n]
+        cluster[m.left] = cluster[m.right] = cluster[node]
     labels = {}
     assignment = [0] * n
     for leaf in leaf_order(dend):
-        root = find(leaf)
-        if root not in labels:
-            labels[root] = len(labels) + 1
-        assignment[leaf] = labels[root]
+        assignment[leaf] = labels.setdefault(cluster[leaf], len(labels) + 1)
     return assignment

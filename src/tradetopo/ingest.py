@@ -85,6 +85,21 @@ def _check_header(row, expected, what):
         )
 
 
+def _csv_rows(stream, header, what):
+    """(line number, row) of each non-blank row after a checked header,
+    every row holding one field per header column."""
+    reader = csv.reader(_as_stream(stream))
+    _check_header(next(reader, None), header, what)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} columns, got {len(row)}", line=lineno
+            )
+        yield lineno, row
+
+
 def _parse_country(code, lineno):
     code = code.strip()
     upper = code.upper()
@@ -176,14 +191,8 @@ def _trade_panel(year, reporter, partner, value):
 
 def _parse_trade_rows(stream) -> TradePanel:
     """parse_trade_csv one csv row at a time."""
-    reader = csv.reader(stream)
-    _check_header(next(reader, None), TRADE_HEADER, "trade")
     years, reporters, partners, values = [], [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
+    for lineno, row in _csv_rows(stream, TRADE_HEADER, "trade"):
         try:
             year = int(row[0])
             value = float(row[3])
@@ -219,14 +228,8 @@ def format_trade_csv(panel) -> str:
 
 def parse_gdp_csv(stream) -> dict[tuple[int, str], float]:
     """Parse the GDP table into a (year, country) -> gdp lookup."""
-    reader = csv.reader(_as_stream(stream))
-    _check_header(next(reader, None), GDP_HEADER, "gdp")
     table: dict[tuple[int, str], float] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
+    for lineno, row in _csv_rows(stream, GDP_HEADER, "gdp"):
         try:
             year = int(row[0])
             gdp = float(row[2])
@@ -258,14 +261,8 @@ def _parse_year_month(text, lineno):
 def parse_recessions(stream) -> list[RecessionWindow]:
     """Parse recession windows, sorted by start date; overlapping windows
     are legal but logged."""
-    reader = csv.reader(_as_stream(stream))
-    _check_header(next(reader, None), RECESSION_HEADER, "recessions")
     windows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
+    for lineno, row in _csv_rows(stream, RECESSION_HEADER, "recessions"):
         start = _parse_year_month(row[1], lineno)
         end = _parse_year_month(row[2], lineno)
         if start > end:

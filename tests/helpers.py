@@ -144,6 +144,88 @@ def random_ultrametric(rng, n):
     return sq[np.triu_indices(n, k=1)]
 
 
+def _min_leaf(dend):
+    mins = list(range(dend.n_leaves))
+    for m in dend.merges:
+        mins.append(min(mins[m.left], mins[m.right]))
+    return mins
+
+
+def _ordered_children(dend, node, mins):
+    m = dend.merges[node - dend.n_leaves]
+    if mins[m.left] <= mins[m.right]:
+        return m.left, m.right
+    return m.right, m.left
+
+
+def stack_leaf_order(dend):
+    """Leaf order by a top-down traversal with an explicit stack, the
+    child whose subtree holds the smallest leaf id visited first."""
+    if dend.n_leaves == 1:
+        return [0]
+    mins = _min_leaf(dend)
+    order = []
+    stack = [2 * dend.n_leaves - 2]
+    while stack:
+        node = stack.pop()
+        if node < dend.n_leaves:
+            order.append(node)
+        else:
+            first, second = _ordered_children(dend, node, mins)
+            stack.append(second)
+            stack.append(first)
+    return order
+
+
+def recursive_newick(dend, labels):
+    """Newick string rendered top-down by recursion, each branch
+    (parent_height - height) / 2 with 12 significant digits. Recursion
+    depth is the tree height, so keep it to shallow trees."""
+    n = dend.n_leaves
+    mins = _min_leaf(dend)
+
+    def height(node):
+        return 0.0 if node < n else dend.merges[node - n].height
+
+    def render(node, parent_height):
+        if node < n:
+            body = labels[node]
+        else:
+            first, second = _ordered_children(dend, node, mins)
+            h = height(node)
+            body = f"({render(first, h)},{render(second, h)})"
+        if parent_height is None:
+            return body
+        return f"{body}:{(parent_height - height(node)) / 2.0:.12g}"
+
+    return render(2 * n - 2, None) + ";"
+
+
+def union_find_cut(dend, k):
+    """Cut into k clusters by joining the first n - k merges in a
+    union-find, numbered by first appearance in stack_leaf_order."""
+    n = dend.n_leaves
+    parent = list(range(2 * n - 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for idx, m in enumerate(dend.merges[: n - k]):
+        parent[find(m.left)] = n + idx
+        parent[find(m.right)] = n + idx
+    labels = {}
+    assignment = [0] * n
+    for leaf in stack_leaf_order(dend):
+        root = find(leaf)
+        if root not in labels:
+            labels[root] = len(labels) + 1
+        assignment[leaf] = labels[root]
+    return assignment
+
+
 def parse_newick(text):
     """Tiny Newick reader; returns (children, branch_length, label)
     nested tuples for path-length checks."""

@@ -360,6 +360,22 @@ class TestPipeline:
                    "--out", out) == 3
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_epicenter_is_case_insensitive(self, fixtures_dir, tmp_path):
+        upper, lower = tmp_path / "upper", tmp_path / "lower"
+        assert self.run_fixture(fixtures_dir, upper, epicenter="USA") == 0
+        assert self.run_fixture(fixtures_dir, lower, epicenter=" usa") == 0
+        names = sorted(p.name for p in upper.iterdir())
+        assert names == sorted(p.name for p in lower.iterdir())
+        for name in names:
+            assert (lower / name).read_bytes() == (upper / name).read_bytes()
+
+    def test_unknown_lower_case_epicenter_writes_nothing(
+            self, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out, epicenter="xyz") == 3
+        assert "'XYZ' not in state" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_epicenter_missing_from_some_years_skips_them(
             self, fixtures_dir, tmp_path, caplog):
         lines = (fixtures_dir / "trade.csv").read_text().splitlines()
@@ -424,6 +440,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert fragment in err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--tol", "0"), ("--tol", "-0.5"), ("--tol", "nan"),
+        ("--max-steps", "0"), ("--max-steps", "-5"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["shock", "--year", "2000"], ["pipeline"],
+    ], ids=["shock", "pipeline"])
+    def test_bad_solver_option_writes_nothing(
+            self, command, option, value, small_inputs, tmp_path, capsys):
+        trade, gdp = small_inputs
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--trade", trade, "--gdp", gdp, "--epicenter", "AAA",
+                option, value, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: must be positive, got '{value}'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["share-matrix", "--year", "2000", "--format", "json"],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,28 @@ def tie_levels(rng, count):
 
 def continuous(rng, count):
     return rng.uniform(0, 10, count)
+
+
+# average-linkage trees, n 2..40, from continuous and tie-heavy levels
+random_dendrograms = st.one_of(
+    condensed_from(tie_levels), condensed_from(continuous)
+).map(hclust.average_linkage)
+
+
+def pinned_dendrogram(n, values):
+    return hclust.average_linkage(
+        cd(values(np.random.default_rng(n), n * (n - 1) // 2))
+    )
+
+
+def caterpillar(n):
+    """Dendrogram of depth n - 1: the leaves join one at a time, in a
+    shuffled order, onto a single growing cluster."""
+    leaves = np.random.default_rng(0).permutation(n).tolist()
+    merges = [hclust.Merge(leaves[0], leaves[1], 1.0, 2)]
+    for k in range(2, n):
+        merges.append(hclust.Merge(n + k - 2, leaves[k], float(k), k + 1))
+    return hclust.Dendrogram(n, merges)
 
 
 def delete_oracle(d):
@@ -227,6 +251,20 @@ class TestLeafOrder:
         order = hclust.leaf_order(hclust.average_linkage(d))
         assert sorted(order) == list(range(d.n))
 
+    @settings(max_examples=200, deadline=None)
+    @given(random_dendrograms)
+    def test_matches_stack_oracle(self, dend):
+        assert hclust.leaf_order(dend) == helpers.stack_leaf_order(dend)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    @pytest.mark.parametrize("values", [tie_levels, continuous])
+    def test_matches_stack_oracle_pinned(self, n, values):
+        dend = pinned_dendrogram(n, values)
+        assert hclust.leaf_order(dend) == helpers.stack_leaf_order(dend)
+
+    def test_single_leaf(self):
+        assert hclust.leaf_order(hclust.Dendrogram(1, ())) == [0]
+
 
 class TestNewick:
     def test_three_item_fixture(self):
@@ -263,6 +301,26 @@ class TestNewick:
                     c[i, j], rel=1e-9, abs=1e-9
                 )
 
+    @settings(max_examples=200, deadline=None)
+    @given(random_dendrograms)
+    def test_matches_recursive_oracle(self, dend):
+        labels = [f"L{i}" for i in range(dend.n_leaves)]
+        assert hclust.to_newick(dend, labels) == helpers.recursive_newick(
+            dend, labels
+        )
+
+    @pytest.mark.parametrize("n", [150, 200])
+    @pytest.mark.parametrize("values", [tie_levels, continuous])
+    def test_matches_recursive_oracle_pinned(self, n, values):
+        dend = pinned_dendrogram(n, values)
+        labels = [f"L{i}" for i in range(n)]
+        assert hclust.to_newick(dend, labels) == helpers.recursive_newick(
+            dend, labels
+        )
+
+    def test_single_leaf(self):
+        assert hclust.to_newick(hclust.Dendrogram(1, ()), ["A"]) == "A;"
+
 
 class TestCutAtCount:
     def test_three_item_fixture(self):
@@ -290,3 +348,46 @@ class TestCutAtCount:
             return
         assignment = hclust.cut_at_count(hclust.average_linkage(d), k)
         assert sorted(set(assignment)) == list(range(1, k + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_dendrograms)
+    def test_matches_union_find_oracle(self, dend):
+        for k in range(1, dend.n_leaves + 1):
+            assert hclust.cut_at_count(dend, k) == helpers.union_find_cut(dend, k)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    @pytest.mark.parametrize("values", [tie_levels, continuous])
+    def test_matches_union_find_oracle_pinned(self, n, values):
+        dend = pinned_dendrogram(n, values)
+        for k in (1, 2, 6, n // 2, n - 1, n):
+            assert hclust.cut_at_count(dend, k) == helpers.union_find_cut(dend, k)
+
+    def test_single_leaf(self):
+        assert hclust.cut_at_count(hclust.Dendrogram(1, ()), 1) == [1]
+
+
+class TestDeepTree:
+    """A 1,200-leaf caterpillar is deeper than Python's recursion limit;
+    helpers.recursive_newick and helpers.parse_newick are kept away from
+    it."""
+
+    N = 1200
+
+    def test_leaf_order(self):
+        dend = caterpillar(self.N)
+        assert hclust.leaf_order(dend) == helpers.stack_leaf_order(dend)
+
+    def test_newick(self):
+        dend = caterpillar(self.N)
+        labels = [f"L{i}" for i in range(self.N)]
+        text = hclust.to_newick(dend, labels)
+        assert text.count("(") == text.count(")") == self.N - 1
+        assert re.findall(r"L\d+", text) == [
+            labels[leaf] for leaf in hclust.leaf_order(dend)
+        ]
+
+    def test_cut(self):
+        dend = caterpillar(self.N)
+        assignment = hclust.cut_at_count(dend, 6)
+        assert assignment == helpers.union_find_cut(dend, 6)
+        assert sorted(set(assignment)) == [1, 2, 3, 4, 5, 6]

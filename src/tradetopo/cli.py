@@ -361,12 +361,15 @@ def cmd_pipeline(args):
 # --- argument parsing ---
 
 
-def _positive(convert):
-    """An argparse type= that accepts only convert(text) > 0."""
+def _positive(convert, below=None):
+    """An argparse type= that accepts only convert(text) > 0, and below
+    the bound if one is given."""
+    what = "positive" if below is None else f"in (0, {below:g})"
+
     def check(text):
         value = convert(text)
-        if not value > 0:  # also rejects NaN
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not (value > 0 and (below is None or value < below)):  # and not NaN
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
     check.__name__ = convert.__name__  # argparse: "invalid float value"
     return check
@@ -404,7 +407,7 @@ def build_parser():
     # normalized like the country codes of the input files
     shock.add_argument("--epicenter", default="USA",
                        type=lambda code: code.strip().upper())
-    shock.add_argument("--shock", type=float, default=0.054,
+    shock.add_argument("--shock", type=_positive(float, below=1), default=0.054,
                        help="epicenter GDP shock fraction")
     shock.add_argument("--tol", type=_positive(float), default=1e-10)
     shock.add_argument("--max-steps", type=_positive(int), default=100_000)

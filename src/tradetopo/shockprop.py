@@ -104,41 +104,45 @@ def apply_shock(state: EconomyState, config: ShockConfig) -> EconomyState:
     return replace(state, y=y)
 
 
-def step(prev: EconomyState, cur: EconomyState, update_rule="multiplicative") -> EconomyState:
-    """Advance one step: prev holds (Y(t-1), X(t-1)), cur holds Y(t);
-    the result holds Y(t+1) together with the X(t) used to produce it."""
-    x_t = prev.x * (cur.y / prev.y)[None, :]
-    ex_prev = prev.x.sum(axis=1)
+def step(x, ex, y_prev, y, p, update_rule="multiplicative"):
+    """Advance one step from X(t-1) with row sums ex, Y(t-1) and Y(t);
+    return X(t), its row sums and Y(t+1)."""
+    x_t = x * (y / y_prev)
     ex_t = x_t.sum(axis=1)
-    ratio = np.divide(ex_t, ex_prev, out=np.ones_like(ex_t), where=ex_prev > 0)
+    ratio = np.divide(ex_t, ex, out=np.ones_like(ex_t), where=ex > 0)
     if update_rule == "multiplicative":
-        y_next = cur.y * (1.0 + prev.p * (ratio - 1.0))
+        y_next = y * (1.0 + p * (ratio - 1.0))
     else:
-        y_next = cur.y + prev.p * (ratio - 1.0)
-    if not (np.all(np.isfinite(y_next)) and np.all(y_next > 0) and np.all(np.isfinite(x_t))):
+        y_next = y + p * (ratio - 1.0)
+    # min() and max() are NaN, and fail both tests, if any entry is NaN
+    if not (y_next.min() > 0 and y_next.max() < np.inf
+            and np.isfinite(x_t).all()):
         raise Degenerate("state left the finite positive domain")
-    return EconomyState(countries=cur.countries, y=y_next, x=x_t, p=prev.p)
+    return x_t, ex_t, y_next
 
 
-def _iterate(prev: EconomyState, cur: EconomyState, config: ShockConfig,
+def _iterate(prev: EconomyState, y: np.ndarray, config: ShockConfig,
              steps: list[np.ndarray]) -> SimulationTrace:
+    """Iterate from prev, which holds X(t-1) and Y(t-1), and Y(t) = y;
+    the final state holds the last X(t) and Y(t+1)."""
+    x, y_prev, p = prev.x, prev.y, prev.p
+    ex = x.sum(axis=1)
+    rule, tol = config.update_rule, config.tolerance
+    converged = False
     for _ in range(config.max_steps):
-        nxt = step(prev, cur, config.update_rule)
-        steps.append(nxt.y)
-        delta = float(np.max(np.abs(nxt.y - cur.y) / cur.y))
-        prev = EconomyState(countries=cur.countries, y=cur.y, x=nxt.x, p=prev.p)
-        cur = nxt
-        if delta < config.tolerance:
-            return SimulationTrace(
-                countries=cur.countries, steps=steps, converged=True,
-                final_state=cur,
-            )
-    partial = SimulationTrace(
-        countries=cur.countries, steps=steps, converged=False, final_state=cur
-    )
-    raise NoConvergence(
-        f"no steady state after {config.max_steps} steps", trace=partial
-    )
+        x, ex, y_next = step(x, ex, y_prev, y, p, rule)
+        steps.append(y_next)
+        converged = bool((np.abs(y_next - y) / y).max() < tol)
+        y_prev, y = y, y_next
+        if converged:
+            break
+    trace = SimulationTrace(prev.countries, steps, converged,
+                            EconomyState(prev.countries, y, x, p))
+    if not converged:
+        raise NoConvergence(
+            f"no steady state after {config.max_steps} steps", trace=trace
+        )
+    return trace
 
 
 def run_to_steady(initial: EconomyState, config: ShockConfig) -> SimulationTrace:
@@ -150,7 +154,7 @@ def run_to_steady(initial: EconomyState, config: ShockConfig) -> SimulationTrace
     """
     shocked = apply_shock(initial, config)
     steps = [initial.y.copy(), shocked.y.copy()]
-    return _iterate(initial, shocked, config, steps)
+    return _iterate(initial, shocked.y, config, steps)
 
 
 def run_recovery(steady: EconomyState, initial_y_epicenter: float,
@@ -160,9 +164,8 @@ def run_recovery(steady: EconomyState, initial_y_epicenter: float,
     i = steady.index(config.epicenter)
     y = steady.y.copy()
     y[i] = initial_y_epicenter
-    restored = replace(steady, y=y)
-    steps = [steady.y.copy(), restored.y.copy()]
-    return _iterate(steady, restored, config, steps)
+    steps = [steady.y.copy(), y.copy()]
+    return _iterate(steady, y, config, steps)
 
 
 def world_gdp_change(trace: SimulationTrace) -> float:

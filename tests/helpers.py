@@ -356,3 +356,37 @@ def two_country_shock_oracle(y_u, y_w, x, p, s, tol=1e-10):
         if (abs(us[-1] - us[-2]) / us[-2] < tol
                 and abs(ws[-1] - ws[-2]) / ws[-2] < tol):
             return us, ws
+
+
+
+def reference_shock_trace(x, y_prev, y, p, update_rule="multiplicative",
+                          tol=1e-10, max_steps=100_000):
+    """The shock iteration as first written, kept as a bit-for-bit oracle:
+    each step sums the rows of X(t-1) again, rather than carrying them
+    from the step before, and goes through the np.all/np.max wrappers.
+
+    Starts from X(t-1) = x, Y(t-1) = y_prev and Y(t) = y, with the
+    library's update rules, domain checks and stopping rule. Returns
+    (ys, x_last, outcome): Y(t+1) of every step that passed its checks,
+    the X(t) of the last of them, and "converged", "no convergence" or
+    "degenerate" (step len(ys) + 1 then failed its checks)."""
+    ys = []
+    for _ in range(max_steps):
+        x_t = x * (y / y_prev)[None, :]
+        ex_prev = x.sum(axis=1)
+        ex_t = x_t.sum(axis=1)
+        ratio = np.divide(ex_t, ex_prev, out=np.ones_like(ex_t),
+                          where=ex_prev > 0)
+        if update_rule == "multiplicative":
+            y_next = y * (1.0 + p * (ratio - 1.0))
+        else:
+            y_next = y + p * (ratio - 1.0)
+        if not (np.all(np.isfinite(y_next)) and np.all(y_next > 0)
+                and np.all(np.isfinite(x_t))):
+            return ys, x, "degenerate"
+        ys.append(y_next)
+        delta = float(np.max(np.abs(y_next - y) / y))
+        x, y_prev, y = x_t, y, y_next
+        if delta < tol:
+            return ys, x, "converged"
+    return ys, x, "no convergence"

@@ -341,9 +341,11 @@ class TestPipeline:
     @pytest.mark.parametrize("shock", ["1.5", "0"])
     def test_bad_shock_writes_nothing(self, fixtures_dir, tmp_path, shock):
         out = tmp_path / "out"
-        assert run("pipeline", "--trade", fixtures_dir / "trade.csv",
-                   "--gdp", fixtures_dir / "gdp.csv", "--shock", shock,
-                   "--out", out) == 2
+        with pytest.raises(SystemExit) as exc:
+            run("pipeline", "--trade", fixtures_dir / "trade.csv",
+                "--gdp", fixtures_dir / "gdp.csv", "--shock", shock,
+                "--out", out)
+        assert exc.value.code == 2
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_window_outside_series_writes_nothing(self, fixtures_dir, tmp_path):
@@ -403,9 +405,6 @@ class TestExitCodes:
             2, "no GDP data for: CCC",
             "shock --trade {d}/trade.csv --gdp {d}/gdp_no_ccc.csv --year 2000"
             " --epicenter AAA"),
-        "shock_out_of_range": (
-            2, "shock_fraction must be in (0, 1), got 1.5",
-            "pipeline --trade {d}/trade.csv --gdp {d}/gdp.csv --shock 1.5"),
         "window_outside_series": (
             3, "CCC series does not cover window(s): w",
             "recessions-test --trade {d}/trade.csv --recessions {d}/rec.csv"),
@@ -458,6 +457,22 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {option}: must be positive, got '{value}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1.5", "1", "0", "-0.1", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["shock", "--year", "2000"], ["pipeline"],
+    ], ids=["shock", "pipeline"])
+    def test_shock_out_of_range_writes_nothing(
+            self, command, value, small_inputs, tmp_path, capsys):
+        trade, gdp = small_inputs
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--trade", trade, "--gdp", gdp, "--epicenter", "AAA",
+                "--shock", value, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --shock: must be in (0, 1), got '{value}'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

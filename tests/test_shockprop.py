@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import helpers
 from tradetopo import errors, ingest, shockprop, synthetic
@@ -22,6 +26,30 @@ def zero_trade_state(n=4, epi_share=0.5):
     rest = 100.0 * (1 - epi_share) / (n - 1)
     y = np.array([100.0 * epi_share] + [rest] * (n - 1))
     return EconomyState(countries, y, np.zeros((n, n)), np.zeros(n))
+
+
+def random_state(rng, n, zero_rows=0):
+    """Lognormal exports with zero diagonal, the first zero_rows countries
+    exporting nothing, and P drawn from (0.05, 0.95) where there are
+    exports."""
+    x = rng.lognormal(0.0, 1.5, (n, n))
+    np.fill_diagonal(x, 0.0)
+    x[:zero_rows] = 0.0
+    ex = x.sum(axis=1)
+    y = np.where(ex > 0, ex / rng.uniform(0.05, 0.95, n),
+                 rng.lognormal(2.0, 1.0, n))
+    return EconomyState.from_exports(
+        tuple(f"C{i:02d}" for i in range(n)), y, x)
+
+
+def fixture_states(fixtures_dir):
+    """The year_state of every year of the bundled fixture."""
+    with open(fixtures_dir / "trade.csv") as f:
+        panel = ingest.parse_trade_csv(f)
+    with open(fixtures_dir / "gdp.csv") as f:
+        gdp = ingest.parse_gdp_csv(f)
+    return [shockprop.year_state(year, *ingest.directed_flows(panel, year), gdp)
+            for year in panel.years()]
 
 
 CFG = ShockConfig(epicenter="USA", shock_fraction=0.054)
@@ -49,6 +77,13 @@ class TestInitState:
         with caplog.at_level("WARNING"):
             state_of([(2007, "USA", "WLD", 150.0)], gdp)
         assert "USA" in caplog.text
+
+
+class TestShockConfig:
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -0.1, float("nan")])
+    def test_fraction_out_of_range(self, fraction):
+        with pytest.raises(ValueError, match="shock_fraction must be in"):
+            ShockConfig(epicenter="USA", shock_fraction=fraction)
 
 
 class TestApplyShock:
@@ -82,34 +117,36 @@ class TestStep:
     def test_first_hand_iterate(self):
         st = two_country_state()
         shocked = shockprop.apply_shock(st, CFG)
-        nxt = shockprop.step(st, shocked)
+        x_t, _, y_next = shockprop.step(
+            st.x, st.x.sum(axis=1), st.y, shocked.y, st.p)
         # exports toward the epicenter shrink with its GDP
-        assert nxt.x[1, 0] == pytest.approx(9.46, abs=1e-12)
-        assert nxt.x[0, 1] == pytest.approx(10.0, abs=1e-12)
-        assert nxt.y[1] == pytest.approx(99.46, abs=1e-12)
-        assert nxt.y[0] == pytest.approx(94.6, abs=1e-12)
+        assert x_t[1, 0] == pytest.approx(9.46, abs=1e-12)
+        assert x_t[0, 1] == pytest.approx(10.0, abs=1e-12)
+        assert y_next[1] == pytest.approx(99.46, abs=1e-12)
+        assert y_next[0] == pytest.approx(94.6, abs=1e-12)
 
     def test_second_hand_iterate(self):
         st = two_country_state()
         shocked = shockprop.apply_shock(st, CFG)
-        s2 = shockprop.step(st, shocked)
-        prev = EconomyState(st.countries, shocked.y, s2.x, st.p)
-        s3 = shockprop.step(prev, s2)
-        assert s3.x[0, 1] == pytest.approx(9.946, abs=1e-12)
-        assert s3.y[0] == pytest.approx(94.548916, abs=1e-12)
+        x2, ex2, y2 = shockprop.step(
+            st.x, st.x.sum(axis=1), st.y, shocked.y, st.p)
+        x3, _, y3 = shockprop.step(x2, ex2, shocked.y, y2, st.p)
+        assert x3[0, 1] == pytest.approx(9.946, abs=1e-12)
+        assert y3[0] == pytest.approx(94.548916, abs=1e-12)
 
     def test_zero_trade_fixed_point(self):
         st = zero_trade_state()
-        nxt = shockprop.step(st, st)
-        assert np.array_equal(nxt.y, st.y)
+        _, _, y_next = shockprop.step(st.x, st.x.sum(axis=1), st.y, st.y, st.p)
+        assert np.array_equal(y_next, st.y)
 
     def test_literal_additive_rule(self):
         st = two_country_state()
         shocked = shockprop.apply_shock(st, CFG)
-        s2 = shockprop.step(st, shocked)
-        prev = EconomyState(st.countries, shocked.y, s2.x, st.p)
-        s3 = shockprop.step(prev, s2, update_rule="literal-additive")
-        assert s3.y[0] == pytest.approx(94.6 + 0.1 * (0.9946 - 1.0), abs=1e-12)
+        x2, ex2, y2 = shockprop.step(
+            st.x, st.x.sum(axis=1), st.y, shocked.y, st.p)
+        _, _, y3 = shockprop.step(
+            x2, ex2, shocked.y, y2, st.p, update_rule="literal-additive")
+        assert y3[0] == pytest.approx(94.6 + 0.1 * (0.9946 - 1.0), abs=1e-12)
 
 
 class TestRunToSteady:
@@ -287,3 +324,162 @@ class TestStructureResponse:
             )
         assert abs(results["modular"][0]) < abs(results["uniform"][0])
         assert results["modular"][1] > results["uniform"][1]
+
+
+def check_run(run, start, y, cfg):
+    """Call run(), one shock or recovery iteration from X(t-1) = start.x,
+    Y(t-1) = start.y and Y(t) = y, and check it bit for bit against
+    helpers.reference_shock_trace, with one shockprop.step call per step.
+    Returns its trace, or None when both left the positive domain."""
+    ys, x_ref, outcome = helpers.reference_shock_trace(
+        start.x, start.y, y, start.p, cfg.update_rule, cfg.tolerance,
+        cfg.max_steps)
+    with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
+        if outcome == "degenerate":
+            with pytest.raises(errors.Degenerate):
+                run()
+            assert spy.call_count == len(ys) + 1
+            return None
+        if outcome == "converged":
+            trace = run()
+        else:
+            with pytest.raises(errors.NoConvergence) as err:
+                run()
+            trace = err.value.trace
+    assert spy.call_count == len(ys)
+    assert trace.converged == (outcome == "converged")
+    assert len(trace.steps) == len(ys) + 2
+    assert np.array_equal(trace.steps[0], start.y)
+    assert np.array_equal(trace.steps[1], y)
+    for got, want in zip(trace.steps[2:], ys):
+        assert np.array_equal(got, want)
+    final = trace.final_state
+    assert final.countries == start.countries
+    assert np.array_equal(final.x, x_ref)
+    assert np.array_equal(final.y, ys[-1])
+    assert np.array_equal(final.p, start.p)
+    return trace
+
+
+def check_against_reference(initial, cfg):
+    """run_to_steady, then run_recovery from its steady state, each
+    against the reference."""
+    i = initial.index(cfg.epicenter)
+    shocked = initial.y.copy()
+    shocked[i] *= 1.0 - cfg.shock_fraction
+    shock = check_run(lambda: shockprop.run_to_steady(initial, cfg),
+                      initial, shocked, cfg)
+    if shock is None or not shock.converged:
+        return
+    steady = shock.final_state
+    restored = steady.y.copy()
+    restored[i] = initial.y[i]
+    check_run(lambda: shockprop.run_recovery(steady, float(initial.y[i]), cfg),
+              steady, restored, cfg)
+
+
+class TestReferenceTrace:
+    """The iteration carries plain arrays and each step's export row sums;
+    every step must equal the reference's, which rebuilds both."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=hs.integers(2, 40), seed=hs.integers(0, 2**32 - 1),
+           zero_frac=hs.floats(0.0, 0.5),
+           rule=hs.sampled_from(shockprop.UPDATE_RULES),
+           log_tol=hs.floats(-13.0, -5.0), max_steps=hs.integers(1, 600),
+           shock=hs.floats(0.001, 0.5), epi=hs.integers(0, 39))
+    def test_random_states(self, n, seed, zero_frac, rule, log_tol,
+                           max_steps, shock, epi):
+        state = random_state(np.random.default_rng(seed), n,
+                             zero_rows=round(zero_frac * n))
+        cfg = ShockConfig(epicenter=f"C{epi % n:02d}", shock_fraction=shock,
+                          tolerance=10.0 ** log_tol, max_steps=max_steps,
+                          update_rule=rule)
+        check_against_reference(state, cfg)
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    def test_matched_pairs(self, rule):
+        cfg = ShockConfig(epicenter="C00", update_rule=rule)
+        for seed in range(5):
+            pair = synthetic.matched_block_pair(seed)
+            for which in ("uniform", "modular"):
+                check_against_reference(pair.state(which), cfg)
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    def test_fixture_years(self, rule, fixtures_dir):
+        cfg = ShockConfig(epicenter="USA", update_rule=rule)
+        for state in fixture_states(fixtures_dir):
+            check_against_reference(state, cfg)
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    def test_lognormal_n150(self, rule):
+        state = random_state(np.random.default_rng(150), 150)
+        check_against_reference(
+            state, ShockConfig(epicenter="C07", update_rule=rule))
+
+    def test_max_steps_exhausted(self):
+        state = synthetic.matched_block_pair(1).state("modular")
+        cfg = ShockConfig(epicenter="C00", max_steps=7)
+        with pytest.raises(errors.NoConvergence) as err:
+            shockprop.run_to_steady(state, cfg)
+        trace = err.value.trace
+        assert trace.final_state.y is trace.steps[-1]
+        shocked = trace.steps[1]
+        _, x_ref, outcome = helpers.reference_shock_trace(
+            state.x, state.y, shocked, state.p, max_steps=7)
+        assert outcome == "no convergence"
+        assert np.array_equal(trace.final_state.x, x_ref)
+
+    @pytest.mark.parametrize("gdp", [0.1, 1e-3])
+    def test_degenerate_at_reference_step(self, gdp):
+        st = synthetic.matched_block_pair(0).state("uniform")
+        scale = gdp / st.y[0]
+        state = EconomyState.from_exports(st.countries, st.y * scale,
+                                          st.x * scale)
+        cfg = ShockConfig(epicenter="C00", update_rule="literal-additive")
+        shocked = state.y.copy()
+        shocked[0] *= 1.0 - cfg.shock_fraction
+        _, _, outcome = helpers.reference_shock_trace(
+            state.x, state.y, shocked, state.p, cfg.update_rule)
+        assert outcome == "degenerate"
+        # raises Degenerate on the reference's failing step
+        check_against_reference(state, cfg)
+
+
+class TestDynamics:
+    """Properties of the dynamics that follow from the update rules."""
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exports_telescope(self, seed, rule):
+        # X_ij(t) = X_ij(t-1) Y_j(t)/Y_j(t-1), so X(t) = X(0) Y(t)/Y(0)
+        rng = np.random.default_rng(seed)
+        st = random_state(rng, int(rng.integers(2, 30)), zero_rows=seed)
+        x, ex, y_prev, y = st.x, st.x.sum(axis=1), st.y, st.y.copy()
+        y[0] *= 1.0 - 0.054
+        for _ in range(200):
+            x, ex, y_next = shockprop.step(x, ex, y_prev, y, st.p, rule)
+            np.testing.assert_allclose(x, st.x * (y / st.y), rtol=1e-12)
+            y_prev, y = y, y_next
+
+    @pytest.mark.parametrize("c", [0.2, 0.4, 0.7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_uniform_openness_increment_ratio(self, seed, c):
+        # linearized, the growth rates follow v(t+1) = c S v(t) with S
+        # row-stochastic, whose leading eigenvalue is c; the ratio is read
+        # once the transient has died but before rounding dominates
+        rng = np.random.default_rng(seed)
+        n = 12
+        share = rng.random((n, n))
+        np.fill_diagonal(share, 0.0)
+        share /= share.sum(axis=1, keepdims=True)
+        y = rng.lognormal(5.0, 1.0, n)
+        state = EconomyState(tuple(f"C{i:02d}" for i in range(n)), y,
+                             (c * y)[:, None] * share, np.full(n, c))
+        trace = shockprop.run_to_steady(
+            state, ShockConfig(epicenter="C00", tolerance=1e-14))
+        w = trace.world_gdp
+        dw = np.diff(w)
+        late = int(np.argmax(np.abs(dw) < 1e-9 * w[0]))
+        assert late > 1
+        assert dw[late] / dw[late - 1] == pytest.approx(c, abs=1e-5)

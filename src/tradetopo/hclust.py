@@ -7,14 +7,23 @@ heights are nondecreasing (average linkage admits no inversions).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.cluster.hierarchy import cophenet
-from scipy.spatial.distance import squareform
 
 from .errors import Degenerate
 
 NEWICK_METACHARS = set("(),:;")
+
+
+@lru_cache(maxsize=16)
+def upper_indices(n):
+    """Row and column indices of the pairs i < j of an n x n matrix, in
+    condensed (row-major) order; shared and read-only."""
+    iu = np.triu_indices(n, k=1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,11 @@ class CondensedDistances:
         return self.values[self.index(*pair)]
 
     def as_square(self) -> np.ndarray:
-        return squareform(self.values)
+        rows, cols = upper_indices(self.n)
+        sq = np.zeros((self.n, self.n))
+        sq[rows, cols] = self.values
+        sq[cols, rows] = self.values
+        return sq
 
 
 @dataclass(frozen=True)
@@ -83,8 +96,7 @@ def distances_from_network(net) -> CondensedDistances:
     n = net.n
     if n < 2:
         raise Degenerate(f"need at least 2 countries, got {n}")
-    iu = np.triu_indices(n, k=1)
-    upper = net.m[iu]
+    upper = net.m[upper_indices(n)]
     return CondensedDistances(n=n, values=upper.max() - upper)
 
 
@@ -143,10 +155,27 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
 
 def cophenetic(dend: Dendrogram) -> CondensedDistances:
     """c_ij = height of the lowest merge whose cluster contains both
-    leaves, by scipy's cophenet on the merges as a linkage matrix (the
-    node ids already follow its convention)."""
-    z = np.array([(m.left, m.right, m.height, m.size) for m in dend.merges])
-    return CondensedDistances(n=dend.n_leaves, values=cophenet(z))
+    leaves.
+
+    In leaf order every cluster is one contiguous run of leaves, its
+    first child's run before its second's. A top-down walk gives each
+    child the start of its run, and each merge fills the block between
+    its children's runs, above the diagonal, with its height. One gather
+    at the pair's two leaf positions, smaller first, maps it back.
+    """
+    n = dend.n_leaves
+    sizes = [1] * n + [m.size for m in dend.merges]
+    start = [0] * (2 * n - 1)
+    sq = np.zeros((n, n))
+    for node, first, second in reversed(list(_merges_in_order(dend))):
+        a = start[first] = start[node]
+        b = start[second] = a + sizes[first]
+        sq[a:b, b : b + sizes[second]] = dend.merges[node - n].height
+    pos = np.array(start[:n])  # a leaf's run starts at its position
+    rows, cols = upper_indices(n)
+    p, q = pos[rows], pos[cols]
+    values = sq.ravel().take(np.minimum(p, q) * n + np.maximum(p, q))
+    return CondensedDistances(n=n, values=values)
 
 
 def _merges_in_order(dend: Dendrogram):

@@ -31,15 +31,20 @@ def ccc(d: hclust.CondensedDistances, c: hclust.CondensedDistances) -> float:
     """Pearson correlation between original and cophenetic distances over
     the upper-triangle pairs.
 
-    Pairs are lexsorted before summation so the result is bit-identical
-    under any relabeling of the underlying items.
+    Pairs are sorted by (d, c) before summation so the result is
+    bit-identical under any relabeling of the underlying items: numpy
+    orders complex numbers by real part, then imaginary part.
     """
     if d.n != c.n:
         raise Degenerate(f"distance sizes differ: {d.n} vs {c.n}")
     if d.n < 3:
         raise Degenerate(f"CCC needs at least 3 items, got {d.n}")
-    order = np.lexsort((c.values, d.values))
-    return stats.pearson(d.values[order], c.values[order])
+    pairs = np.empty(d.values.size, dtype=complex)
+    pairs.real, pairs.imag = d.values, c.values
+    pairs.sort()
+    # contiguous copies: a strided view can change numpy's summation
+    # blocking, and so the last bits
+    return stats.pearson(pairs.real.copy(), pairs.imag.copy())
 
 
 def ccc_of_network(net) -> CccPoint:
@@ -90,7 +95,7 @@ def ordered_share_matrix(net, dend: hclust.Dendrogram) -> ShareMatrix:
 
 def total_trade(net) -> float:
     """Sum of the symmetrized matrix over unordered pairs."""
-    return float(net.m[np.triu_indices(net.n, k=1)].sum())
+    return float(net.m[hclust.upper_indices(net.n)].sum())
 
 
 def trade_gdp_ratio(net, gdp: dict) -> float:

@@ -55,6 +55,12 @@ class ShockConfig:
             raise ValueError(
                 f"shock_fraction must be in (0, 1), got {self.shock_fraction}"
             )
+        if not self.tolerance >= 0:
+            raise ValueError(
+                f"tolerance must be >= 0 and not NaN, got {self.tolerance}"
+            )
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.update_rule not in UPDATE_RULES:
             raise ValueError(f"update_rule must be one of {UPDATE_RULES}")
 

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from tradetopo import stats
+
 
 def trade_csv(rows):
     """Trade CSV text of (year, reporter, partner, value) rows; floats are
@@ -124,6 +126,16 @@ def brute_cophenetic(n, merges):
                 sq[i, j] = sq[j, i] = height
         members[n + k] = members.pop(left) + members.pop(right)
     return sq[np.triu_indices(n, k=1)]
+
+
+def lexsort_ccc(d, c):
+    """CCC of condensed values d and c with the pairs put in
+    np.lexsort((c, d)) order before stats.pearson: the order that the
+    library's complex-number sort must reproduce bit for bit."""
+    d = np.asarray(d, dtype=float)
+    c = np.asarray(c, dtype=float)
+    order = np.lexsort((c, d))
+    return stats.pearson(d[order], c[order])
 
 
 def random_ultrametric(rng, n):

@@ -513,3 +513,43 @@ class TestHelp:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_unloaded(self, package_env):
+        # the hierarchy path is numpy only; scipy loads in the recovery fit
+        # and the asymptotic KS branch
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, tradetopo.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=package_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestWithoutScipy:
+    # None in sys.modules makes every import of scipy fail
+    BLOCKED = ("import sys; sys.modules['scipy'] = None; "
+               "from tradetopo.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    @pytest.mark.parametrize("argv", [
+        ["ccc-series", "--gdp", "gdp.csv"],
+        ["dendrogram", "--year", "2000"],
+        ["share-matrix", "--year", "2000"],
+        ["recessions-test", "--recessions", "recessions.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_same_bytes_with_scipy_blocked(self, argv, fixtures_dir, tmp_path,
+                                           package_env):
+        argv = [str(fixtures_dir / a) if a.endswith(".csv") else a for a in argv]
+        argv += ["--trade", str(fixtures_dir / "trade.csv")]
+        blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.BLOCKED, *argv, "--out", str(blocked)],
+            capture_output=True, text=True, env=package_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert run(*argv, "--out", normal) == 0
+        names = sorted(p.name for p in normal.iterdir())
+        assert names and sorted(p.name for p in blocked.iterdir()) == names
+        for name in names:
+            assert (blocked / name).read_bytes() == (normal / name).read_bytes()

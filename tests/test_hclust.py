@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster import hierarchy as scipy_hier
+from scipy.spatial import distance as scipy_distance
 
 import helpers
 from tradetopo import errors, hclust
@@ -60,6 +61,17 @@ def pinned_dendrogram(n, values):
     )
 
 
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def scipy_cophenet(dend):
+    """scipy's cophenet on the same merges as a linkage matrix."""
+    z = np.array([(m.left, m.right, m.height, m.size) for m in dend.merges])
+    return scipy_hier.cophenet(z)
+
+
 def caterpillar(n):
     """Dendrogram of depth n - 1: the leaves join one at a time, in a
     shuffled order, onto a single growing cluster."""
@@ -84,6 +96,16 @@ class TestCondensedDistances:
         d = cd([1.0, 4.0, 5.0])
         assert d[0, 1] == 1.0 and d[0, 2] == 4.0 and d[1, 2] == 5.0
         assert d[2, 1] == d[1, 2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(condensed_from(tie_levels), condensed_from(continuous)))
+    def test_as_square_equals_scipy(self, d):
+        assert_same_bits(d.as_square(), scipy_distance.squareform(d.values))
+
+    @pytest.mark.parametrize("n", [1, 2, 150, 200])
+    def test_as_square_equals_scipy_pinned(self, n):
+        d = cd(continuous(np.random.default_rng(n), n * (n - 1) // 2))
+        assert_same_bits(d.as_square(), scipy_distance.squareform(d.values))
 
     def test_square_round_trip(self):
         d = cd([1.0, 4.0, 5.0])
@@ -198,6 +220,25 @@ class TestCophenetic:
         assert c.values == pytest.approx(
             scipy_hier.cophenet(z), rel=1e-9, abs=1e-12
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_dendrograms)
+    def test_equals_scipy_cophenet(self, dend):
+        assert_same_bits(hclust.cophenetic(dend).values, scipy_cophenet(dend))
+
+    @pytest.mark.parametrize("n", [150, 200])
+    @pytest.mark.parametrize("values", [tie_levels, continuous])
+    def test_equals_scipy_cophenet_pinned(self, n, values):
+        dend = pinned_dendrogram(n, values)
+        assert_same_bits(hclust.cophenetic(dend).values, scipy_cophenet(dend))
+
+    def test_equals_scipy_cophenet_pair(self):
+        dend = hclust.average_linkage(cd([7.0]))
+        assert_same_bits(hclust.cophenetic(dend).values, scipy_cophenet(dend))
+
+    def test_deep_tree_equals_scipy_cophenet(self):
+        dend = caterpillar(300)
+        assert_same_bits(hclust.cophenetic(dend).values, scipy_cophenet(dend))
 
     @settings(max_examples=150, deadline=None)
     @given(random_condensed)

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -64,6 +64,50 @@ class TestCcc:
                 cd(rng.uniform(0, 10, pairs)), cd(rng.uniform(0, 10, pairs))
             )
             assert -1 <= v <= 1
+
+
+def tie_heavy_pairs(draw_c):
+    """(d, c) condensed pairs, n 3..60, d on the integer levels 0..3 and c
+    either the cophenetic distances of d's tree or levels of its own."""
+    def build(args):
+        n, seed, tree = args
+        rng = np.random.default_rng(seed)
+        d = cd(rng.integers(0, 4, n * (n - 1) // 2).astype(float))
+        if tree:
+            return d, hclust.cophenetic(hclust.average_linkage(d))
+        return d, cd(draw_c(rng, d.values.size))
+    return st.tuples(
+        st.integers(3, 60), st.integers(0, 2**32 - 1), st.booleans()
+    ).map(build)
+
+
+class TestCccOrder:
+    """metrics.ccc sorts the pairs as complex numbers; the lexsort order
+    it replaced is the oracle, and the result must be == to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_pairs(lambda rng, k: rng.integers(0, 4, k).astype(float)))
+    def test_matches_lexsort_oracle_tie_heavy(self, pair):
+        d, c = pair
+        assume(np.ptp(d.values) > 0 and np.ptp(c.values) > 0)
+        assert metrics.ccc(d, c) == helpers.lexsort_ccc(d.values, c.values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_pairs(lambda rng, k: rng.uniform(0, 10, k)))
+    def test_matches_lexsort_oracle_mixed(self, pair):
+        d, c = pair
+        assume(np.ptp(d.values) > 0 and np.ptp(c.values) > 0)
+        assert metrics.ccc(d, c) == helpers.lexsort_ccc(d.values, c.values)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_matches_lexsort_oracle_pinned(self, n, ties):
+        rng = np.random.default_rng(n)
+        count = n * (n - 1) // 2
+        d = cd(rng.integers(0, 4, count).astype(float) if ties
+               else rng.uniform(0, 10, count))
+        c = hclust.cophenetic(hclust.average_linkage(d))
+        assert metrics.ccc(d, c) == helpers.lexsort_ccc(d.values, c.values)
 
 
 class TestCccOfNetwork:

@@ -85,6 +85,21 @@ class TestShockConfig:
         with pytest.raises(ValueError, match="shock_fraction must be in"):
             ShockConfig(epicenter="USA", shock_fraction=fraction)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1e-12, -1.0,
+                                           float("-inf")])
+    def test_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            ShockConfig(epicenter="USA", tolerance=tolerance)
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_bad_max_steps(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            ShockConfig(epicenter="USA", max_steps=max_steps)
+
+    def test_limits_accepted(self):
+        cfg = ShockConfig(epicenter="USA", tolerance=0.0, max_steps=1)
+        assert (cfg.tolerance, cfg.max_steps) == (0.0, 1)
+
 
 class TestApplyShock:
     def test_fraction(self):

@@ -98,11 +98,7 @@ def select_years(args, available):
     if args.year is not None:
         return [args.year]
     if args.years is not None:
-        lo, _, hi = args.years.partition(":")
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError:
-            raise ParseError(f"bad year range {args.years!r}") from None
+        lo, hi = args.years
         return [y for y in available if lo <= y <= hi]
     return available
 
@@ -375,6 +371,18 @@ def _positive(convert, below=None):
     return check
 
 
+def _year_range(text):
+    """An argparse type= for "A:B", two integers with A <= B."""
+    try:
+        lo, hi = map(int, text.split(":"))
+        if lo > hi:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be A:B with integers A <= B, got {text!r}") from None
+    return lo, hi
+
+
 def _parent(*flags, **kwargs):
     """A parser to pass as parents=, holding the option given, if any."""
     p = argparse.ArgumentParser(add_help=False)
@@ -401,7 +409,8 @@ def build_parser():
     years = _parent()
     group = years.add_mutually_exclusive_group()
     group.add_argument("--year", type=int)
-    group.add_argument("--years", metavar="A:B", help="inclusive year range")
+    group.add_argument("--years", metavar="A:B", type=_year_range,
+                       help="inclusive year range")
     mode = _parent("--mode", choices=ingest.SYMMETRIZATION_MODES, default="sum")
     shock = _parent()
     # normalized like the country codes of the input files

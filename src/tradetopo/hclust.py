@@ -107,7 +107,9 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     The m active clusters occupy the top-left m x m block of dist, one
     slot each. A merge writes the new row into the lower of its two slots
     and frees the higher one by moving the last active slot into it, so
-    one row-minimum pass is the only O(m^2) work per merge. The update
+    one minimum pass is the only O(m^2) work per merge. Row and column a
+    are written from one row and slot last moves as a row and column, so
+    the block stays exactly symmetric. The update
     adds the same two products whichever slot holds which cluster, so
     the dendrogram does not depend on the slot layout.
     """
@@ -123,19 +125,23 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     for k in range(n - 1):
         last = n - k - 1
         block = dist[: last + 1, : last + 1]
-        rowmin = block.min(axis=1)
+        # block is symmetric, so its column minima are its row minima
+        rowmin = np.minimum.reduce(block, axis=0)
         height = rowmin.min()
         # both ends of every pair at the global minimum reach it in their row
-        rows = np.flatnonzero(rowmin == height)
-        hits, cols = np.nonzero(block[rows] == height)
-        best = None
-        for a, b in zip(rows[hits].tolist(), cols.tolist()):
-            i, j = ids[a], ids[b]
-            if i > j:
-                i, j = j, i
-            if best is None or (i, j) < best[0]:
-                best = ((i, j), min(a, b), max(a, b))
-        (left, right), a, b = best
+        rows = (rowmin == height).nonzero()[0]
+        if rows.size == 2:  # one pair at the minimum: no tie to break
+            a, b = rows.tolist()
+            left, right = sorted((ids[a], ids[b]))
+        else:
+            hits, cols = (block[rows] == height).nonzero()
+            ends, node = rows[hits], np.array(ids)
+            lo = np.minimum(node[ends], node[cols])
+            hi = np.maximum(node[ends], node[cols])
+            # node ids are below 2n, so this key orders pairs as (lo, hi)
+            t = int(np.argmin(lo * (2 * n) + hi))
+            left, right = int(lo[t]), int(hi[t])
+            a, b = sorted((int(ends[t]), int(cols[t])))
         height = float(height)
         new_size = sizes[a] + sizes[b]
         # unweighted average update into slot a

@@ -7,6 +7,12 @@ Dynamics per step (time indices t-1, t, t+1):
   Y_i(t+1)  = Y_i(t) +      P_i * (X_i(t)/X_i(t-1) - 1)    [literal-additive]
 with X_i = sum_j X_ij and P_i frozen at its initial value X_i(0)/Y_i(0).
 Countries with X_i(t-1) = 0 keep their GDP unchanged.
+
+The multiplicative rule is unit-free: scaling every GDP and export by
+one factor scales the whole trace by it. The literal-additive rule adds
+the dimensionless P_i * (X_i(t)/X_i(t-1) - 1) to a GDP in the input's
+currency unit, so its step counts, impact ratios and failures depend on
+that unit.
 """
 
 from __future__ import annotations

@@ -475,6 +475,31 @@ class TestExitCodes:
         assert f"error: argument --shock: must be in (0, 1), got '{value}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [
+        "2000:1995", "1995-2000", "1995:", ":2000", "1995", "a:b", "1995:2000:2005",
+    ])
+    @pytest.mark.parametrize("command", ["ccc-series", "recessions-test", "pipeline"])
+    def test_bad_year_range_exits_before_reading(
+            self, command, value, tmp_path, capsys):
+        # --trade and --recessions name no file: the range fails first
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--trade", tmp_path / "missing.csv",
+                "--recessions", tmp_path / "missing.csv",
+                "--years", value, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("error: argument --years: must be A:B with integers A <= B, "
+                f"got '{value}'") in err
+        assert not out.exists()
+
+    def test_one_year_range(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run("ccc-series", "--trade", fixtures_dir / "trade.csv",
+                   "--years", "1996:1996", "--out", out) == 0
+        rows = (out / "ccc_series.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["year", "1996"]
+
     @pytest.mark.parametrize("argv", [
         ["share-matrix", "--year", "2000", "--format", "json"],
         ["dendrogram", "--year", "2000", "--gdp", "nope.csv", "--shock", "5"],

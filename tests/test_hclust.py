@@ -55,6 +55,21 @@ random_dendrograms = st.one_of(
 ).map(hclust.average_linkage)
 
 
+def binary_levels(rng, count):
+    return rng.integers(0, 2, count).astype(float)
+
+
+def gravity_chain(n):
+    """Distances M* - M_ij of a gravity-style M = g_i g_j * noise with
+    widely spread masses g, as in the benchmark's trade networks: the
+    heaviest cluster absorbs the other leaves one at a time."""
+    rng = np.random.default_rng(n)
+    g = rng.lognormal(0.0, 1.5, n)
+    rows, cols = hclust.upper_indices(n)
+    m = g[rows] * g[cols] * rng.lognormal(0.0, 0.3, rows.size)
+    return cd(m.max() - m)
+
+
 def pinned_dendrogram(n, values):
     return hclust.average_linkage(
         cd(values(np.random.default_rng(n), n * (n - 1) // 2))
@@ -170,6 +185,19 @@ class TestAverageLinkage:
     @pytest.mark.parametrize("values", [tie_levels, continuous])
     def test_matches_delete_oracle_pinned(self, n, values):
         d = cd(values(np.random.default_rng(n), n * (n - 1) // 2))
+        assert hclust.average_linkage(d) == delete_oracle(d)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_matches_delete_oracle_gravity_chain(self, n):
+        d = gravity_chain(n)
+        dend = hclust.average_linkage(d)
+        assert dend == delete_oracle(d)
+        leaf_joins = sum((m.left < n) != (m.right < n) for m in dend.merges)
+        assert leaf_joins >= 0.9 * (n - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(condensed_from(binary_levels))
+    def test_matches_delete_oracle_binary(self, d):
         assert hclust.average_linkage(d) == delete_oracle(d)
 
     @settings(max_examples=150, deadline=None)

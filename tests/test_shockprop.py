@@ -498,3 +498,42 @@ class TestDynamics:
         late = int(np.argmax(np.abs(dw) < 1e-9 * w[0]))
         assert late > 1
         assert dw[late] / dw[late - 1] == pytest.approx(c, abs=1e-5)
+
+
+def scaled_modular_pair(exponent):
+    """matched_block_pair(0)'s modular state with GDP and exports in a unit
+    2**exponent times smaller; a power of two scales every value exactly,
+    so P is unchanged bit for bit."""
+    base = synthetic.matched_block_pair(0).state("modular")
+    scale = 2.0**exponent
+    state = EconomyState.from_exports(base.countries, base.y * scale, base.x * scale)
+    assert np.array_equal(state.p, base.p)
+    return state
+
+
+class TestCurrencyUnit:
+    """The multiplicative rule is unit-free; literal-additive adds a
+    dimensionless term to a GDP in the input's unit, so its results
+    depend on that unit."""
+
+    @pytest.mark.parametrize("exponent", [-10, 10])
+    def test_multiplicative_traces_scale_exactly(self, exponent):
+        cfg = ShockConfig(epicenter="C00")
+        base = shockprop.run_to_steady(scaled_modular_pair(0), cfg)
+        scaled = shockprop.run_to_steady(scaled_modular_pair(exponent), cfg)
+        assert len(base.steps) == len(scaled.steps) == 100
+        for y, y_scaled in zip(base.steps, scaled.steps):
+            assert np.array_equal(y * 2.0**exponent, y_scaled)
+        assert (shockprop.impact_ratio(scaled, "C00")
+                == shockprop.impact_ratio(base, "C00"))
+
+    def test_literal_additive_depends_on_unit(self):
+        cfg = ShockConfig(epicenter="C00", update_rule="literal-additive")
+        with pytest.raises(errors.Degenerate, match="left the finite positive"):
+            shockprop.run_to_steady(scaled_modular_pair(-10), cfg)
+        ones = shockprop.run_to_steady(scaled_modular_pair(0), cfg)
+        assert len(ones.steps) == 6
+        assert shockprop.impact_ratio(ones, "C00") == pytest.approx(1.03e-4, rel=0.01)
+        large = shockprop.run_to_steady(scaled_modular_pair(10), cfg)
+        assert len(large.steps) == 4
+        assert shockprop.impact_ratio(large, "C00") == pytest.approx(1.0e-7, rel=0.01)

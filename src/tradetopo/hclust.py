@@ -46,14 +46,6 @@ class CondensedDistances:
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("distances must be finite and nonnegative")
 
-    def index(self, i, j):
-        if i > j:
-            i, j = j, i
-        return i * self.n - i * (i + 1) // 2 + (j - i - 1)
-
-    def __getitem__(self, pair):
-        return self.values[self.index(*pair)]
-
     def as_square(self) -> np.ndarray:
         rows, cols = upper_indices(self.n)
         sq = np.zeros((self.n, self.n))

@@ -214,18 +214,6 @@ def _parse_trade_rows(stream) -> TradePanel:
                         np.array(partners, dtype="U3"), np.array(values))
 
 
-def format_trade_csv(panel) -> str:
-    """Canonical serialization, which parse_trade_csv reads back to the
-    same columns."""
-    lines = [",".join(TRADE_HEADER)]
-    for year, reporter, partner, value in zip(
-        panel.year.tolist(), panel.reporter.tolist(),
-        panel.partner.tolist(), panel.value.tolist(),
-    ):
-        lines.append(f"{year},{reporter},{partner},{value!r}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_gdp_csv(stream) -> dict[tuple[int, str], float]:
     """Parse the GDP table into a (year, country) -> gdp lookup."""
     table: dict[tuple[int, str], float] = {}

@@ -42,10 +42,14 @@ class EconomyState:
         return cls(countries=tuple(countries), y=y, x=x, p=x.sum(axis=1) / y)
 
     def index(self, country) -> int:
-        try:
-            return self.countries.index(country)
-        except ValueError:
-            raise Degenerate(f"{country!r} not in state") from None
+        return _country_index(self.countries, country)
+
+
+def _country_index(countries, country) -> int:
+    try:
+        return countries.index(country)
+    except ValueError:
+        raise Degenerate(f"{country!r} not in state") from None
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ def impact_ratio(trace: SimulationTrace, epicenter: str) -> float:
         raise Degenerate("trace did not reach steady state")
     if len(trace.countries) < 2:
         raise Degenerate("impact ratio needs at least 2 countries")
-    i = trace.countries.index(epicenter)
+    i = _country_index(trace.countries, epicenter)
     first, last = trace.steps[0], trace.steps[-1]
     epi_change = (last[i] - first[i]) / first[i]
     if epi_change == 0:
@@ -207,7 +211,7 @@ def impact_ratio(trace: SimulationTrace, epicenter: str) -> float:
     return float(rest_change / epi_change)
 
 
-def fit_recovery(trace: SimulationTrace, eps: float = 1e-12) -> RecoveryFit:
+def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
     """Fit W(t) ~ y_inf - a * exp(-lam * t) to the world GDP series.
 
     A log-linear regression of ln(y_inf - W) on t seeds a nonlinear
@@ -217,6 +221,7 @@ def fit_recovery(trace: SimulationTrace, eps: float = 1e-12) -> RecoveryFit:
     """
     if not trace.converged:
         raise Degenerate("trace did not reach steady state")
+    eps = 1e-12
     w = trace.world_gdp
     y_end = float(w[-1])
     resid = y_end - w

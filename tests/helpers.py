@@ -20,6 +20,13 @@ def trade_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def format_trade_csv(panel):
+    """Canonical serialization of a parsed trade panel, which
+    parse_trade_csv reads back to the same columns."""
+    return trade_csv(zip(panel.year.tolist(), panel.reporter.tolist(),
+                         panel.partner.tolist(), panel.value.tolist()))
+
+
 def brute_directed_flows(rows, year):
     """(countries, matrix) of one year from (year, reporter, partner, value)
     rows with normalized codes: duplicate pairs are summed into a dict in

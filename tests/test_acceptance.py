@@ -237,19 +237,16 @@ def test_09_ks_suite():
            ok, elapsed)
 
 
-def test_10_cli_determinism(tmp_path):
-    files = synthetic.fixture_files()
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+def test_10_cli_determinism(fixtures_dir, tmp_path):
     t0 = time.perf_counter()
     outs = []
     for run_dir in ("first", "second"):
         out = tmp_path / run_dir
         code = cli.main([
             "pipeline",
-            "--trade", str(tmp_path / "trade.csv"),
-            "--gdp", str(tmp_path / "gdp.csv"),
-            "--recessions", str(tmp_path / "recessions.csv"),
+            "--trade", str(fixtures_dir / "trade.csv"),
+            "--gdp", str(fixtures_dir / "gdp.csv"),
+            "--recessions", str(fixtures_dir / "recessions.csv"),
             "--out", str(out),
         ])
         assert code == 0

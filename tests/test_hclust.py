@@ -107,11 +107,6 @@ class TestCondensedDistances:
         with pytest.raises(errors.Degenerate, match="expected 6 condensed entries"):
             hclust.CondensedDistances(n=4, values=np.zeros(5))
 
-    def test_indexing(self):
-        d = cd([1.0, 4.0, 5.0])
-        assert d[0, 1] == 1.0 and d[0, 2] == 4.0 and d[1, 2] == 5.0
-        assert d[2, 1] == d[1, 2]
-
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(condensed_from(tie_levels), condensed_from(continuous)))
     def test_as_square_equals_scipy(self, d):
@@ -363,7 +358,7 @@ class TestNewick:
         labels = [f"L{i}" for i in range(d.n)]
         text = hclust.to_newick(dend, labels)
         paths = helpers.newick_path_lengths(text, labels)
-        c = hclust.cophenetic(dend)
+        c = hclust.cophenetic(dend).as_square()
         for i in range(d.n):
             for j in range(i + 1, d.n):
                 assert paths[(labels[i], labels[j])] == pytest.approx(

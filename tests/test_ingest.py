@@ -1,4 +1,6 @@
+import importlib.util
 import io
+import pathlib
 import re
 import warnings
 
@@ -75,7 +77,7 @@ def test_parse_trade_errors_carry_line_numbers(row, message):
 )
 def test_code_that_upper_cases_to_four_letters_rejected(parse, text):
     # "ßab".upper() is "SSAB": codes are checked after normalizing, so
-    # format_trade_csv never writes a code that parse_trade_csv rejects
+    # a parsed panel never holds a code that parse_trade_csv rejects
     with pytest.raises(errors.ParseError, match="bad country code 'ßab'") as err:
         parse(text)
     assert err.value.line == 2
@@ -218,9 +220,9 @@ def test_build_network_symmetric_zero_diagonal(rows):
 @given(flow_rows)
 def test_trade_csv_round_trip(rows):
     rows = [r for r in rows if r[1] != r[2]]
-    text = ingest.format_trade_csv(_panel(*rows))
+    text = helpers.format_trade_csv(_panel(*rows))
     assert columns(ingest.parse_trade_csv(text)) == rows
-    assert ingest.format_trade_csv(ingest.parse_trade_csv(text)) == text
+    assert helpers.format_trade_csv(ingest.parse_trade_csv(text)) == text
 
 
 def test_directed_flows_sums_duplicate_rows():
@@ -453,3 +455,14 @@ def test_parse_trade_stream_that_cannot_seek():
     with pytest.raises(errors.ParseError, match="negative trade value") as err:
         ingest.parse_trade_csv(OneWayStream(TRADE_HEADER + "1969,USA,CAN,-3\n"))
     assert err.value.line == 2
+
+
+def test_fixture_script_regenerates_committed_files(fixtures_dir):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    files = module.fixture_files()
+    assert sorted(files) == ["gdp.csv", "recessions.csv", "trade.csv"]
+    for name, text in files.items():
+        assert text == (fixtures_dir / name).read_text()

@@ -266,6 +266,11 @@ class TestImpactRatio:
         with pytest.raises(errors.Degenerate, match="epicenter GDP did not change"):
             shockprop.impact_ratio(trace, "AAA")
 
+    def test_unknown_epicenter(self):
+        trace = shockprop.run_to_steady(two_country_state(), CFG)
+        with pytest.raises(errors.Degenerate, match="^'XYZ' not in state$"):
+            shockprop.impact_ratio(trace, "XYZ")
+
 
 class TestRunRecovery:
     def test_zero_trade_restores_world(self):
@@ -339,6 +344,12 @@ class TestStructureResponse:
             )
         assert abs(results["modular"][0]) < abs(results["uniform"][0])
         assert results["modular"][1] > results["uniform"][1]
+
+    @pytest.mark.parametrize("method", ["state", "network"])
+    def test_unknown_allocation_raises(self, method):
+        pair = synthetic.matched_block_pair(0)
+        with pytest.raises(KeyError, match="'Uniform'"):
+            getattr(pair, method)("Uniform")
 
 
 def check_run(run, start, y, cfg):

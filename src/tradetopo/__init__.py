@@ -1,6 +1,8 @@
 """Hierarchy metrics and shock-propagation dynamics for weighted trade
-networks."""
+networks.
 
-from . import hclust, ingest, metrics, shockprop, stats  # noqa: F401
+The package imports no submodule, so that ``tradetopo.cli`` runs before
+numpy loads and can set the BLAS thread count; import the layers you
+use, e.g. ``from tradetopo import ingest, metrics``."""
 
 __version__ = "0.1.0"

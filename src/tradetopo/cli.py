@@ -17,8 +17,16 @@ import os
 import sys
 import tempfile
 
-from . import hclust, ingest, metrics, shockprop, stats
 from .errors import Degenerate, MissingGdp, NoConvergence, ParseError, TradeTopoError
+
+# numpy and scipy each load their own OpenBLAS, which reads its thread
+# count once, at load. Their worker threads spin CPU at start-up and buy
+# nothing at this program's matrix sizes, so the CLI runs one thread
+# unless the user has chosen a count (OpenBLAS reads these three).
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import hclust, ingest, metrics, shockprop, stats  # noqa: E402
 
 log = logging.getLogger("tradetopo")
 

@@ -270,13 +270,31 @@ def directed_flows(panel, year):
     k = int(np.count_nonzero(rows))
     if not k:
         raise Degenerate(f"no trade records for year {year}")
-    countries, index = np.unique(
-        np.concatenate([panel.reporter[rows], panel.partner[rows]]),
+    keys, index = np.unique(
+        _code_keys(np.concatenate([panel.reporter[rows], panel.partner[rows]])),
         return_inverse=True,
     )
-    x = np.zeros((len(countries), len(countries)))
+    x = np.zeros((len(keys), len(keys)))
     np.add.at(x, (index[:k], index[k:]), panel.value[rows])
-    return countries.tolist(), x
+    return _key_codes(keys).tolist(), x
+
+
+# A U3 code as one int64 key c0 << 42 | c1 << 21 | c2 of its three code
+# points, each below 2**21: the keys sort as the codes do, and faster.
+_POINT_BITS = 21
+_POINT_MASK = (1 << _POINT_BITS) - 1
+
+
+def _code_keys(codes):
+    c = codes.astype("U3", copy=False).view(np.uint32).reshape(-1, 3).astype(np.int64)
+    return (c[:, 0] << 2 * _POINT_BITS) | (c[:, 1] << _POINT_BITS) | c[:, 2]
+
+
+def _key_codes(keys):
+    """The U3 codes, in native byte order, of _code_keys keys."""
+    c = np.stack([keys >> 2 * _POINT_BITS, (keys >> _POINT_BITS) & _POINT_MASK,
+                  keys & _POINT_MASK], axis=1)
+    return c.astype(np.uint32).view("U3").ravel()
 
 
 def symmetrize(year, countries, x, mode="sum") -> TradeNetwork:

@@ -43,6 +43,20 @@ def brute_directed_flows(rows, year):
     return countries, x
 
 
+def string_directed_flows(panel, year):
+    """ingest.directed_flows with the countries factorized by np.unique on
+    the code strings themselves."""
+    rows = panel.year == year
+    k = int(np.count_nonzero(rows))
+    countries, index = np.unique(
+        np.concatenate([panel.reporter[rows], panel.partner[rows]]),
+        return_inverse=True,
+    )
+    x = np.zeros((len(countries), len(countries)))
+    np.add.at(x, (index[:k], index[k:]), panel.value[rows])
+    return countries.tolist(), x
+
+
 def pearson_direct(x, y):
     """Direct evaluation of the product-moment formula."""
     x = list(map(float, x))

@@ -552,6 +552,71 @@ class TestHelp:
         assert proc.stdout.strip() == "[]"
 
 
+class TestBlasThreads:
+    """The CLI runs OpenBLAS on one thread unless the user set a count."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.fixture
+    def clean_env(self, package_env):
+        # built per test: importing tradetopo.cli in this process sets the
+        # variable, and package_env copies this process's environment
+        return {k: v for k, v in package_env.items() if k not in self.VARS}
+
+    def thread_env(self, env, module="tradetopo.cli"):
+        """The three variables as a child sees them after importing module."""
+        code = (f"import json, os, {module}; "
+                f"print(json.dumps([os.environ.get(v) for v in {self.VARS!r}]))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return dict(zip(self.VARS, json.loads(proc.stdout)))
+
+    def test_cli_import_sets_one_thread(self, clean_env):
+        assert self.thread_env(clean_env) == {
+            "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+            "OMP_NUM_THREADS": None}
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_setting_is_kept(self, name, clean_env):
+        want = {v: None for v in self.VARS}
+        want[name] = "2"
+        assert self.thread_env({**clean_env, name: "2"}) == want
+
+    def test_library_import_leaves_environment_alone(self, clean_env):
+        assert self.thread_env(clean_env, "tradetopo.metrics") == {
+            v: None for v in self.VARS}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts threads in /proc/self/task")
+    def test_no_blas_worker_threads(self, clean_env):
+        # numpy's and scipy's OpenBLAS each start their pool when loaded
+        code = ("import os, tradetopo.cli, scipy.linalg; "
+                "print(len(os.listdir('/proc/self/task')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=clean_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
+
+    def test_pipeline_bytes_do_not_depend_on_thread_count(
+            self, fixtures_dir, tmp_path, clean_env):
+        outs = {}
+        for label, extra in (("default", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+            outs[label] = tmp_path / label
+            argv = ["pipeline", "--out", str(outs[label])]
+            for name in ("trade", "gdp", "recessions"):
+                argv += [f"--{name}", str(fixtures_dir / f"{name}.csv")]
+            proc = subprocess.run([sys.executable, "-m", "tradetopo.cli", *argv],
+                                  capture_output=True, text=True,
+                                  env={**clean_env, **extra})
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in outs["default"].iterdir())
+        assert names == sorted(TestPipeline.GOLDEN)
+        assert sorted(p.name for p in outs["two"].iterdir()) == names
+        for name in names:
+            assert (outs["two"] / name).read_bytes() == (outs["default"] / name).read_bytes()
+
+
 class TestWithoutScipy:
     # None in sys.modules makes every import of scipy fail
     BLOCKED = ("import sys; sys.modules['scipy'] = None; "

@@ -308,6 +308,33 @@ def test_directed_flows_matches_dict_oracle(rows):
         assert np.array_equal(x, want_x)
 
 
+# codes from a few letters of each code point width: ASCII, Latin-1,
+# Greek and a capital above U+FFFF, so that every key field is exercised
+# and a field narrower than 21 bits would mix two code points
+wide_codes = st.text(alphabet="AZÄÖÜΑΩ𝐀", min_size=3, max_size=3)
+wide_rows = st.lists(
+    st.tuples(
+        st.integers(1999, 2002),
+        wide_codes,
+        wide_codes,
+        st.sampled_from([0.0, 0.1, 0.2, 1.0, 3.5, 1e16]),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_rows)
+def test_directed_flows_matches_string_factorization(rows):
+    # the rows repeat pairs often, so file-order summation is exercised
+    panel = _panel(*[row for row in rows if row[1] != row[2]])
+    for year in panel.years():
+        countries, x = ingest.directed_flows(panel, year)
+        want_countries, want_x = helpers.string_directed_flows(panel, year)
+        assert countries == want_countries
+        assert np.array_equal(x, want_x)
+
+
 # The trade parser reads the body with np.loadtxt and re-reads the whole
 # stream with the row parser on any rejection; each case pins a place
 # where the two readers differ.

@@ -272,6 +272,19 @@ class TestImpactRatio:
             shockprop.impact_ratio(trace, "XYZ")
 
 
+class TestWorldGdp:
+    @settings(max_examples=200, deadline=None)
+    @given(n=hs.one_of(hs.sampled_from([1, 127, 128, 129]), hs.integers(1, 300)),
+           n_steps=hs.integers(1, 40), seed=hs.integers(0, 2**32 - 1))
+    def test_equals_per_step_sums(self, n, n_steps, seed):
+        # n around 128, the block size of numpy's pairwise summation
+        rng = np.random.default_rng(seed)
+        steps = list(rng.lognormal(20.0, 2.0, (n_steps, n)))
+        trace = SimulationTrace(tuple(f"C{i}" for i in range(n)), steps, True)
+        want = np.array([y.sum() for y in steps])
+        assert trace.world_gdp.tobytes() == want.tobytes()
+
+
 class TestRunRecovery:
     def test_zero_trade_restores_world(self):
         st = zero_trade_state()

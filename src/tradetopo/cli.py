@@ -19,10 +19,11 @@ import tempfile
 
 from .errors import Degenerate, MissingGdp, NoConvergence, ParseError, TradeTopoError
 
-# numpy and scipy each load their own OpenBLAS, which reads its thread
-# count once, at load. Their worker threads spin CPU at start-up and buy
-# nothing at this program's matrix sizes, so the CLI runs one thread
-# unless the user has chosen a count (OpenBLAS reads these three).
+# numpy loads OpenBLAS, which reads its thread count once, at load (no
+# command loads scipy's copy: the recovery fit's MINPACK links no BLAS).
+# Its worker threads spin CPU at start-up and buy nothing at this
+# program's matrix sizes, so the CLI runs one thread unless the user has
+# chosen a count (OpenBLAS reads these three).
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -267,7 +268,7 @@ def cmd_recover(args):
     try:
         shock_trace, recovery, fit = _shock_and_recover(state, config)
     except NoConvergence as exc:
-        _write_trace(f"recovery_trace_{args.year}", exc.trace, args)
+        _write_trace(f"{exc.phase}_trace_{args.year}", exc.trace, args)
         raise
     _write_trace(f"recovery_trace_{args.year}", recovery, args)
     write_json(

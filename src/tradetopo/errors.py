@@ -36,8 +36,10 @@ class MissingYear(Degenerate):
 
 
 class NoConvergence(TradeTopoError):
-    """Raised when max_steps is exhausted; carries the partial trace."""
+    """Raised when max_steps is exhausted; carries the partial trace and
+    the phase that stopped ("shock" or "recovery")."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace=None, phase=None):
         super().__init__(message)
         self.trace = trace
+        self.phase = phase

@@ -17,7 +17,12 @@ that unit.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,7 +144,7 @@ def step(x, ex, y_prev, y, p, update_rule="multiplicative"):
 
 
 def _iterate(prev: EconomyState, y: np.ndarray, config: ShockConfig,
-             steps: list[np.ndarray]) -> SimulationTrace:
+             steps: list[np.ndarray], phase: str) -> SimulationTrace:
     """Iterate from prev, which holds X(t-1) and Y(t-1), and Y(t) = y;
     the final state holds the last X(t) and Y(t+1)."""
     x, y_prev, p = prev.x, prev.y, prev.p
@@ -157,7 +162,8 @@ def _iterate(prev: EconomyState, y: np.ndarray, config: ShockConfig,
                             EconomyState(prev.countries, y, x, p))
     if not converged:
         raise NoConvergence(
-            f"no steady state after {config.max_steps} steps", trace=trace
+            f"no steady state after {config.max_steps} steps", trace=trace,
+            phase=phase,
         )
     return trace
 
@@ -171,7 +177,7 @@ def run_to_steady(initial: EconomyState, config: ShockConfig) -> SimulationTrace
     """
     shocked = apply_shock(initial, config)
     steps = [initial.y.copy(), shocked.y.copy()]
-    return _iterate(initial, shocked.y, config, steps)
+    return _iterate(initial, shocked.y, config, steps, "shock")
 
 
 def run_recovery(steady: EconomyState, initial_y_epicenter: float,
@@ -182,7 +188,7 @@ def run_recovery(steady: EconomyState, initial_y_epicenter: float,
     y = steady.y.copy()
     y[i] = initial_y_epicenter
     steps = [steady.y.copy(), y.copy()]
-    return _iterate(steady, y, config, steps)
+    return _iterate(steady, y, config, steps, "recovery")
 
 
 def world_gdp_change(trace: SimulationTrace) -> float:
@@ -218,7 +224,11 @@ def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
     A log-linear regression of ln(y_inf - W) on t seeds a nonlinear
     least-squares refinement in which y_inf is free; the refinement is
     what lets an exactly exponential series be recovered to machine
-    precision despite the truncated tail.
+    precision despite the truncated tail. The refinement is MINPACK's
+    lmdif called as scipy.optimize.curve_fit(..., maxfev=10_000) calls
+    it, so the fit is curve_fit's to the bit. If lmdif stops without
+    converging, the log-linear seed is returned; a non-finite point of W
+    raises ValueError, as in curve_fit.
     """
     if not trace.converged:
         raise Degenerate("trace did not reach steady state")
@@ -237,18 +247,43 @@ def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
     slope, intercept = np.polyfit(t[mask], np.log(resid[mask]), 1)
     lam0, a0 = -slope, float(np.exp(intercept))
 
-    # imported here: scipy.optimize is the slowest import of the package,
-    # and only the recovery fit needs it
-    from scipy.optimize import curve_fit
+    if not np.isfinite(w).all():  # curve_fit's input check
+        raise ValueError("array must not contain infs or NaNs")
 
-    def model(tt, y_inf, a, lam):
-        return y_inf - a * np.exp(-lam * tt)
+    def residuals(params):
+        y_inf, a, lam = params
+        return (y_inf - a * np.exp(-lam * t)) - w
 
-    try:
-        popt, _ = curve_fit(
-            model, t, w, p0=(y_end, a0, max(lam0, 1e-12)), maxfev=10_000
-        )
-        y_inf, a, lam = (float(v) for v in popt)
-    except RuntimeError:
+    # the arguments that curve_fit(..., maxfev=10_000) passes on through
+    # leastsq: its default tolerances, step and factor
+    p0 = np.array([y_end, a0, max(lam0, 1e-12)])
+    params, info = _lmdif()(residuals, p0, (), 0, 1.49012e-08, 1.49012e-08,
+                            0.0, 10_000, np.finfo(float).eps, 100, None)
+    if info in (1, 2, 3, 4):
+        y_inf, a, lam = (float(v) for v in params)
+    else:
         y_inf, a, lam = y_end, a0, lam0
     return RecoveryFit(lam=lam, a=a, y_inf=y_inf)
+
+
+@functools.cache
+def _lmdif():
+    """MINPACK's lmdif, which curve_fit reaches through leastsq, from the
+    private extension scipy.optimize._minpack. Importing the scipy.optimize
+    package costs ~0.3 s, and the extension alone links only libm and libc:
+    unless scipy.optimize has loaded it, its file is loaded from scipy's
+    directory without importing scipy (or, where no file is found,
+    imported as usual). Tests pin the fit bit for bit against curve_fit."""
+    name = "scipy.optimize._minpack"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec("scipy")
+        for directory in spec.submodule_search_locations if spec else ():
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(directory, "optimize", "_minpack" + suffix)
+                if os.path.isfile(path):
+                    loader = importlib.machinery.ExtensionFileLoader(name, path)
+                    module = importlib.util.module_from_spec(
+                        importlib.util.spec_from_loader(name, loader))
+                    loader.exec_module(module)
+                    return module._lmdif
+    return importlib.import_module(name)._lmdif

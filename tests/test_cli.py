@@ -202,6 +202,36 @@ class TestRecover:
         }
         assert summary["lambda"] > 0
 
+    def recover_fixture(self, fixtures_dir, out, year, max_steps):
+        return run("recover", "--trade", fixtures_dir / "trade.csv",
+                   "--gdp", fixtures_dir / "gdp.csv", "--year", year,
+                   "--max-steps", max_steps, "--out", out)
+
+    def trace_steps(self, path):
+        """The GDP vectors of a written trace, one list per step."""
+        steps = {}
+        for line in path.read_text().splitlines()[1:]:
+            step, _, gdp = line.split(",")
+            steps.setdefault(int(step), []).append(float(gdp))
+        return [steps[t] for t in sorted(steps)]
+
+    def test_shock_phase_stalls(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert self.recover_fixture(fixtures_dir, out, 2000, 1) == 4
+        assert sorted(p.name for p in out.iterdir()) == ["shock_trace_2000.csv"]
+
+    def test_recovery_phase_stalls(self, fixtures_dir, tmp_path):
+        # the 2005 shock converges in 18 steps, its recovery needs 19
+        shock_out, out = tmp_path / "shock", tmp_path / "out"
+        assert run("shock", "--trade", fixtures_dir / "trade.csv",
+                   "--gdp", fixtures_dir / "gdp.csv", "--year", 2005,
+                   "--max-steps", 18, "--out", shock_out) == 0
+        assert self.recover_fixture(fixtures_dir, out, 2005, 18) == 4
+        assert sorted(p.name for p in out.iterdir()) == ["recovery_trace_2005.csv"]
+        shock_steps = self.trace_steps(shock_out / "shock_trace_2005.csv")
+        recovery_steps = self.trace_steps(out / "recovery_trace_2005.csv")
+        assert recovery_steps[0] == shock_steps[-1] != shock_steps[0]
+
 
 class TestRecessionsTest:
     def test_output(self, fixtures_dir, tmp_path):
@@ -530,7 +560,7 @@ class TestHelp:
         assert list(tmp_path.iterdir()) == []
 
     def test_import_leaves_scipy_optimize_unloaded(self, package_env):
-        # scipy.optimize is the slowest import; only the recovery fit loads it
+        # scipy.optimize is the slowest import; no command loads it
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, tradetopo.cli; print('scipy.optimize' in sys.modules)"],
@@ -540,8 +570,8 @@ class TestHelp:
         assert proc.stdout.strip() == "False"
 
     def test_import_leaves_scipy_unloaded(self, package_env):
-        # the hierarchy path is numpy only; scipy loads in the recovery fit
-        # and the asymptotic KS branch
+        # the hierarchy path is numpy only; scipy's MINPACK extension loads
+        # in the recovery fit, and scipy.special in the asymptotic KS branch
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, tradetopo.cli; "
@@ -550,6 +580,51 @@ class TestHelp:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestRecoveryFitImports:
+    """pipeline and recover load MINPACK's extension alone, without the
+    scipy.optimize package and the scipy.linalg it pulls in."""
+
+    RUN = ("import importlib.machinery, json, sys\n"
+           "{setup}\n"
+           "from tradetopo.cli import main\n"
+           "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+           "print(json.dumps([codes, [m for m in ('scipy.optimize', 'scipy.linalg')\n"
+           "                          if m in sys.modules]]))\n")
+
+    def run_child(self, setup, fixtures_dir, out, package_env):
+        inputs = [f"--{name}={fixtures_dir / name}.csv"
+                  for name in ("trade", "gdp", "recessions")]
+        argvs = [["pipeline", *inputs, f"--out={out / 'pipeline'}"],
+                 ["recover", *inputs[:2], "--year=2000", f"--out={out / 'recover'}"]]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.RUN.format(setup=setup), json.dumps(argvs)],
+            capture_output=True, text=True, env=package_env)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout)
+        assert codes == [0, 0]
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (out / "pipeline").iterdir()}
+        assert digests == TestPipeline.GOLDEN
+        return loaded, (out / "recover" / "recovery_summary_2000.json").read_bytes()
+
+    @pytest.mark.parametrize("setup, loaded", [
+        ("", []),
+        # no file matches: the loader imports scipy.optimize._minpack as usual
+        ("importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']",
+         ["scipy.optimize", "scipy.linalg"]),
+    ], ids=["extension-file", "no-extension-file"])
+    def test_scipy_modules_loaded(self, setup, loaded, fixtures_dir, tmp_path,
+                                  package_env):
+        modules, summary = self.run_child(setup, fixtures_dir, tmp_path / "child",
+                                          package_env)
+        assert modules == loaded
+        normal = tmp_path / "in-process"
+        assert run("recover", "--trade", fixtures_dir / "trade.csv",
+                   "--gdp", fixtures_dir / "gdp.csv", "--year", 2000,
+                   "--out", normal) == 0
+        assert summary == (normal / "recovery_summary_2000.json").read_bytes()
 
 
 class TestBlasThreads:

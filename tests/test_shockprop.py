@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -194,6 +196,7 @@ class TestRunToSteady:
         assert err.value.trace is not None
         assert not err.value.trace.converged
         assert len(err.value.trace.steps) == 52
+        assert err.value.phase == "shock"
 
     def test_determinism(self):
         t1 = shockprop.run_to_steady(two_country_state(), CFG)
@@ -311,6 +314,14 @@ class TestRunRecovery:
         assert rec.converged
         assert np.allclose(rec.world_gdp, rec.world_gdp[0])
 
+    def test_no_convergence_names_its_phase(self):
+        shock = shockprop.run_to_steady(two_country_state(), CFG)
+        cfg = ShockConfig(epicenter="USA", tolerance=0.0, max_steps=5)
+        with pytest.raises(errors.NoConvergence) as err:
+            shockprop.run_recovery(shock.final_state, 100.0, cfg)
+        assert err.value.phase == "recovery"
+        assert np.array_equal(err.value.trace.steps[0], shock.final_state.y)
+
 
 class TestFitRecovery:
     def make_trace(self, w):
@@ -339,6 +350,121 @@ class TestFitRecovery:
         trace = SimulationTrace(("A",), [np.array([1.0])], converged=False)
         with pytest.raises(errors.Degenerate, match="did not reach steady state"):
             shockprop.fit_recovery(trace)
+
+
+def recovery_trace(state, cfg):
+    """The recovery trace after shocking state to its steady state."""
+    initial_y = float(state.y[state.index(cfg.epicenter)])
+    shock = shockprop.run_to_steady(state, cfg)
+    return shockprop.run_recovery(shock.final_state, initial_y, cfg)
+
+
+def loglinear_seed(w):
+    """(y_end, a0, lam0): fit_recovery's seed, a log-linear regression of
+    ln(y_end - W) on t over the points below the final value."""
+    y_end = float(w[-1])
+    resid = y_end - w
+    mask = resid > 1e-12 * abs(y_end)
+    t = np.arange(len(w), dtype=float)
+    slope, intercept = np.polyfit(t[mask], np.log(resid[mask]), 1)
+    return y_end, float(np.exp(intercept)), -slope
+
+
+def curve_fit_oracle(w):
+    """(lam, a, y_inf) from the public scipy.optimize.curve_fit, started at
+    fit_recovery's seed."""
+    from scipy.optimize import curve_fit
+
+    def model(t, y_inf, a, lam):
+        return y_inf - a * np.exp(-lam * t)
+
+    y_end, a0, lam0 = loglinear_seed(w)
+    t = np.arange(len(w), dtype=float)
+    y_inf, a, lam = curve_fit(model, t, w, p0=(y_end, a0, max(lam0, 1e-12)),
+                              maxfev=10_000)[0]
+    return float(lam), float(a), float(y_inf)
+
+
+def fit_tuple(w):
+    fit = shockprop.fit_recovery(
+        SimulationTrace(("A",), [np.array([v]) for v in w], converged=True))
+    return fit.lam, fit.a, fit.y_inf
+
+
+class TestFitRecoveryEqualsCurveFit:
+    """fit_recovery calls MINPACK's lmdif as curve_fit does: the same bits."""
+
+    def assert_same_fit(self, trace):
+        fit = shockprop.fit_recovery(trace)
+        assert (fit.lam, fit.a, fit.y_inf) == curve_fit_oracle(trace.world_gdp)
+
+    def test_fixture_years(self, fixtures_dir):
+        states = fixture_states(fixtures_dir)
+        assert len(states) == 12
+        for state in states:
+            self.assert_same_fit(recovery_trace(state, CFG))
+
+    def test_matched_pairs(self):
+        cfg = ShockConfig(epicenter="C00")
+        for seed in range(20):
+            pair = synthetic.matched_block_pair(seed)
+            for which in ("uniform", "modular"):
+                self.assert_same_fit(recovery_trace(pair.state(which), cfg))
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_exponentials(self, seed, noise):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.1, 2.0)
+        n = int(rng.integers(8, 8 + 12 / lam))
+        y_inf, a = rng.uniform(1.0, 1e4), rng.uniform(0.01, 1.0)
+        t = np.arange(n)
+        # relative noise on the gap below 3 * noise keeps W rising to its
+        # last value for lam >= 0.1
+        jitter = 1.0 + noise * np.clip(rng.standard_normal(n), -3, 3)
+        w = y_inf * (1.0 - a * np.exp(-lam * t) * jitter)
+        assert fit_tuple(w) == curve_fit_oracle(w)
+
+    def test_no_convergence_returns_seed(self, monkeypatch):
+        w = 100 - 5 * np.exp(-0.3 * np.arange(21))
+        monkeypatch.setattr(shockprop, "_lmdif",
+                            lambda: lambda func, x0, *args: (x0 * 2, 5))
+        y_end, a0, lam0 = loglinear_seed(w)
+        assert fit_tuple(w) == (lam0, a0, y_end)
+
+    def test_nan_in_fitted_points(self):
+        w = 100 - 5 * np.exp(-0.3 * np.arange(21))
+        w[5] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_tuple(w)
+
+    FIT_IN_CHILD = (
+        "import sys, numpy as np\n"
+        "{before}\n"
+        "from tradetopo import shockprop\n"
+        "from tradetopo.shockprop import SimulationTrace\n"
+        "w = 100 - 5 * np.exp(-0.3 * np.arange(21)) + 1e-3 * np.sin(np.arange(21))\n"
+        "trace = SimulationTrace(('A',), [np.array([v]) for v in w], True)\n"
+        "print(repr(shockprop.fit_recovery(trace).lam))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "{after}\n"
+    )
+
+    @pytest.mark.parametrize("before, after, imported", [
+        ("", "", False),
+        ("import scipy.optimize", "", True),
+        # scipy.optimize imports after the loader took the extension alone
+        ("", "from scipy.optimize import curve_fit", False),
+    ], ids=["loader-alone", "scipy-optimize-first", "scipy-optimize-after"])
+    def test_same_lambda_whichever_loads_first(self, before, after, imported,
+                                               package_env):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             self.FIT_IN_CHILD.format(before=before, after=after)],
+            capture_output=True, text=True, env=package_env)
+        assert proc.returncode == 0, proc.stderr
+        w = 100 - 5 * np.exp(-0.3 * np.arange(21)) + 1e-3 * np.sin(np.arange(21))
+        assert proc.stdout.split() == [repr(fit_tuple(w)[0]), str(imported)]
 
 
 class TestStructureResponse:

@@ -179,8 +179,6 @@ def cmd_ccc_series(args):
 
 
 def cmd_dendrogram(args):
-    if args.cut < 1:
-        raise ValueError(f"--cut must be at least 1, got {args.cut}")
     net = ingest.build_network(load_trade(args.trade), args.year, args.mode)
     dend = hclust.average_linkage(hclust.distances_from_network(net))
     atomic_write(
@@ -431,7 +429,8 @@ def build_parser():
     shock.add_argument("--max-steps", type=_positive(int), default=100_000)
     shock.add_argument("--update", choices=shockprop.UPDATE_RULES,
                        default="multiplicative")
-    cut = _parent("--cut", type=int, default=6, help="cluster count for cuts")
+    cut = _parent("--cut", type=_positive(int), default=6,
+                  help="cluster count for cuts")
     table_format = _parent("--format", choices=("csv", "json"), default="csv")
 
     def add(name, func, *options):

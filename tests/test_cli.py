@@ -3,7 +3,9 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.stats
 
 from tradetopo import cli, ingest, metrics
 
@@ -134,9 +136,12 @@ class TestDendrogram:
     def test_cut_zero_writes_nothing(self, small_inputs, tmp_path, capsys):
         trade, _ = small_inputs
         out = tmp_path / "out"
-        assert run("dendrogram", "--trade", trade, "--year", 2000,
-                   "--cut", 0, "--out", out) == 2
-        assert "--cut" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run("dendrogram", "--trade", trade, "--year", 2000,
+                "--cut", 0, "--out", out)
+        assert exc.value.code == 2
+        assert ("error: argument --cut: must be positive, got '0'"
+                in capsys.readouterr().err)
         assert not out.exists() or list(out.iterdir()) == []
 
 
@@ -266,6 +271,56 @@ class TestRecessionsTest:
             run("recessions-test", "--trade", trade, "--out", tmp_path / "o")
         assert exc.value.code == 2
         assert "--recessions" in capsys.readouterr().err
+
+
+class TestRecessionsTestTwelveWindows:
+    """Twelve windows, n = m = 12: the KS p stays exact past 10**6 label
+    assignments, and no scipy module loads."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        rng = np.random.default_rng(0)
+        codes = ["AAA", "BBB", "CCC", "DDD"]
+        trade = tmp_path / "trade.csv"
+        trade.write_text("year,reporter,partner,value_usd\n" + "".join(
+            f"{year},{r},{p},{rng.uniform(1, 100):.6f}\n"
+            for year in range(1990, 2004) for r in codes for p in codes if r != p))
+        # scipy's exact p assumes no value falls in both samples: no two
+        # window years are two apart, so no year is both a before and an
+        # after year. Each window appears twice.
+        rec = tmp_path / "rec.csv"
+        rec.write_text("label,start,end\n" + "".join(
+            f"w{i},{year}-01,{year}-12\n"
+            for i, year in enumerate([1991, 1992, 1995, 1996, 1999, 2000] * 2)))
+        return ["recessions-test", f"--trade={trade}", f"--recessions={rec}",
+                f"--out={tmp_path / 'out'}"]
+
+    def test_p_values_equal_scipy_exact(self, argv, tmp_path):
+        assert run(*argv) == 0
+        result = json.loads((tmp_path / "out" / "recessions_test.json").read_text())
+        assert result["method"] == "exact-permutation"
+        before, after = result["before"], result["after"]
+        assert len(before) == len(after) == 12
+        two_sided = scipy.stats.ks_2samp(before, after, method="exact")
+        greater = scipy.stats.ks_2samp(before, after, alternative="greater",
+                                       method="exact")
+        # the file holds %.12g values
+        assert result["p"] == pytest.approx(two_sided.pvalue, rel=1e-11)
+        assert result["one_sided_p"] == pytest.approx(greater.pvalue, rel=1e-11)
+
+    def test_loads_no_scipy(self, argv, package_env):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys\n"
+             "from tradetopo.cli import main\n"
+             "code = main(json.loads(sys.argv[1]))\n"
+             "print(json.dumps([code, sorted(m for m in sys.modules\n"
+             "                               if m.split('.')[0] == 'scipy')]))",
+             json.dumps(argv)],
+            capture_output=True, text=True, env=package_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, []]
 
 
 class TestPipeline:
@@ -570,8 +625,8 @@ class TestHelp:
         assert proc.stdout.strip() == "False"
 
     def test_import_leaves_scipy_unloaded(self, package_env):
-        # the hierarchy path is numpy only; scipy's MINPACK extension loads
-        # in the recovery fit, and scipy.special in the asymptotic KS branch
+        # the hierarchy and KS paths are numpy only; scipy's MINPACK
+        # extension loads in the recovery fit
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, tradetopo.cli; "

@@ -44,6 +44,12 @@ class TestPearson:
         )
 
 
+# tie-free normal draws, so that scipy's exact p (which assumes no ties)
+# is an oracle
+TIE_FREE_12 = tuple(np.random.default_rng(12).normal(size=(2, 12)))
+TIE_FREE_300 = tuple(np.random.default_rng(300).normal(size=(2, 300)))
+
+
 class TestKsTwoSample:
     def test_identical_samples(self):
         r = stats.ks_two_sample([0.8, 0.9], [0.8, 0.9])
@@ -69,14 +75,17 @@ class TestKsTwoSample:
         with pytest.raises(errors.Degenerate, match="both samples must be nonempty"):
             stats.ks_two_sample([], [1.0])
 
-    def test_asymptotic_path_for_large_samples(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=300)
-        b = rng.normal(size=300)
+    @pytest.mark.parametrize("samples", [TIE_FREE_12, TIE_FREE_300],
+                             ids=["n12_m12", "n300_m300"])
+    def test_large_samples_equal_scipy_exact(self, samples):
+        a, b = samples
         r = stats.ks_two_sample(a, b)
-        assert r.method == "asymptotic"
-        en = np.sqrt(300 * 300 / 600)
-        assert r.p_value == pytest.approx(kolmogorov(en * r.d_statistic))
+        assert r.method == "exact-permutation"
+        two_sided = scipy.stats.ks_2samp(a, b, method="exact")
+        greater = scipy.stats.ks_2samp(a, b, alternative="greater", method="exact")
+        assert r.p_value == pytest.approx(two_sided.pvalue, rel=1e-12, abs=0)
+        assert stats.ks_one_sided_p(a, b) == pytest.approx(
+            greater.pvalue, rel=1e-12, abs=0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
@@ -213,8 +222,10 @@ class TestExactPinned:
         expected = scipy.stats.ks_2samp(a, b, method="exact").pvalue
         assert abs(stats.ks_two_sample(a, b).p_value - expected) <= 1e-15
 
-    def test_peak_memory_small(self):
-        a, b = TIE_FREE_11
+    @pytest.mark.parametrize("samples", [TIE_FREE_11, TIE_FREE_300],
+                             ids=["n11_m11", "n300_m300"])
+    def test_peak_memory_small(self, samples):
+        a, b = samples
         tracemalloc.start()
         try:
             stats.ks_two_sample(a, b)

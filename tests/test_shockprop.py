@@ -610,6 +610,67 @@ class TestReferenceTrace:
         # raises Degenerate on the reference's failing step
         check_against_reference(state, cfg)
 
+    @staticmethod
+    def with_row(row, values, seed=3, n=6):
+        """random_state with row `row` of the exports replaced by values
+        (column -> export), P recomputed from the new row sums."""
+        st = random_state(np.random.default_rng(seed), n)
+        x = st.x.copy()
+        x[row] = 0.0
+        for col, value in values.items():
+            x[row, col] = value
+        return EconomyState.from_exports(st.countries, st.y, x)
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    def test_row_sum_underflows_to_zero(self, rule):
+        # the only export goes to the epicenter and is the smallest
+        # subnormal: every row sum is > 0 at step 1, then this one is 0
+        state = self.with_row(2, {0: 5e-324})
+        cfg = ShockConfig(epicenter="C00", shock_fraction=0.6,
+                          update_rule=rule)
+        assert 5e-324 * (1.0 - cfg.shock_fraction) == 0.0
+        check_against_reference(state, cfg)
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    @pytest.mark.parametrize("values", [{0: -2.0, 1: 1.0}, {0: 1.0, 1: -1.0}])
+    def test_negative_exports_with_sum_not_positive(self, rule, values):
+        state = self.with_row(2, values)
+        assert state.x[2].sum() <= 0
+        check_against_reference(
+            state, ShockConfig(epicenter="C00", update_rule=rule))
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_export_raises_at_first_step(self, rule, bad):
+        state = self.with_row(2, {0: 1.0, 1: bad, 3: 2.0})
+        cfg = ShockConfig(epicenter="C00", update_rule=rule)
+        shocked = state.y.copy()
+        shocked[0] *= 1.0 - cfg.shock_fraction
+        with np.errstate(invalid="ignore"):  # inf / inf in the ratio
+            ys, _, outcome = helpers.reference_shock_trace(
+                state.x, state.y, shocked, state.p, rule)
+            assert (outcome, len(ys)) == ("degenerate", 0)
+            check_against_reference(state, cfg)
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    @pytest.mark.parametrize("max_steps", [1, 3])
+    def test_no_convergence_reports_last_change(self, rule, max_steps):
+        state = synthetic.matched_block_pair(1).state("modular")
+        cfg = ShockConfig(epicenter="C00", max_steps=max_steps,
+                          update_rule=rule)
+        with pytest.raises(errors.NoConvergence) as err:
+            shockprop.run_to_steady(state, cfg)
+        shocked = err.value.trace.steps[1]
+        ys, _, outcome = helpers.reference_shock_trace(
+            state.x, state.y, shocked, state.p, rule, max_steps=max_steps)
+        assert outcome == "no convergence"
+        before, last = ([shocked] + ys)[-2:]
+        change = max(abs(float(a) - float(b)) / float(b)
+                     for a, b in zip(last, before))
+        assert str(err.value) == (
+            f"no steady state after {max_steps} steps: max relative change"
+            f" {change:.2g} >= tolerance 1e-10")
+
 
 class TestDynamics:
     """Properties of the dynamics that follow from the update rules."""

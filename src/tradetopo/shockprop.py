@@ -130,35 +130,30 @@ def step(x, ex, y_prev, y, p, update_rule="multiplicative"):
     """Advance one step from X(t-1) with row sums ex, Y(t-1) and Y(t);
     return X(t), its row sums and Y(t+1).
 
-    When every row sum of X(t-1) is > 0, Y(t+1) is built in place from a
-    plain divide, with the other path's operations in the same order, so
-    the bits are the same; X(t) is not scanned, since a NaN or inf entry
-    makes its row sum, and so that row of Y(t+1), NaN or inf. Otherwise
-    rows whose sum is <= 0 or NaN keep their GDP, and X(t) is scanned.
+    Rows whose sum is <= 0 or NaN keep their GDP. When every row sum is
+    > 0 the ratio is a plain divide and X(t) is not scanned for
+    non-finite entries: one makes its row sum, and so that row of Y(t+1),
+    NaN or inf, which the domain check rejects.
     """
     x_t = x * (y / y_prev)
     ex_t = np.add.reduce(x_t, 1)
     # a NaN row sum fails this test; min and max are NaN if any entry is
-    if np.minimum.reduce(ex) > 0:
+    trades = np.minimum.reduce(ex) > 0
+    if trades:
         y_next = ex_t / ex
-        y_next -= 1.0
-        y_next *= p
-        if update_rule == "multiplicative":
-            y_next += 1.0
-            y_next *= y
-        else:
-            y_next += y
-        ok = (np.minimum.reduce(y_next) > 0
-              and np.maximum.reduce(y_next) < np.inf)
     else:
-        ratio = np.divide(ex_t, ex, out=np.ones_like(ex_t), where=ex > 0)
-        if update_rule == "multiplicative":
-            y_next = y * (1.0 + p * (ratio - 1.0))
-        else:
-            y_next = y + p * (ratio - 1.0)
-        ok = (y_next.min() > 0 and y_next.max() < np.inf
-              and np.isfinite(x_t).all())
-    if not ok:
+        y_next = np.divide(ex_t, ex, out=np.ones_like(ex_t), where=ex > 0)
+    # y * (1 + p * (ratio - 1)) or y + p * (ratio - 1), in place, same bits
+    y_next -= 1.0
+    y_next *= p
+    if update_rule == "multiplicative":
+        y_next += 1.0
+        y_next *= y
+    else:
+        y_next += y
+    if not (np.minimum.reduce(y_next) > 0
+            and np.maximum.reduce(y_next) < np.inf
+            and (trades or np.isfinite(x_t).all())):
         raise Degenerate("state left the finite positive domain")
     return x_t, ex_t, y_next
 
@@ -172,15 +167,11 @@ def _iterate(prev: EconomyState, y: np.ndarray, config: ShockConfig,
     x, y_prev, p = prev.x, prev.y, prev.p
     ex = np.add.reduce(x, 1)
     rule, tol = config.update_rule, config.tolerance
-    d = np.empty(len(y))  # the relative change, one buffer for all steps
     converged = False
     for _ in range(config.max_steps):
         x, ex, y_next = step(x, ex, y_prev, y, p, rule)
         steps.append(y_next)
-        np.subtract(y_next, y, out=d)
-        np.abs(d, out=d)
-        np.divide(d, y, out=d)
-        delta = np.maximum.reduce(d)
+        delta = np.maximum.reduce(np.abs(y_next - y) / y)
         converged = bool(delta < tol)
         y_prev, y = y, y_next
         if converged:

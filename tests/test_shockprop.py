@@ -165,6 +165,26 @@ class TestStep:
             x2, ex2, shocked.y, y2, st.p, update_rule="literal-additive")
         assert y3[0] == pytest.approx(94.6 + 0.1 * (0.9946 - 1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    @pytest.mark.parametrize("y_prev, y", [
+        ([1.0, 1.0], [1.0, 2.0]),  # 1e308 * 2 overflows to inf
+        ([1.0, 0.0], [1.0, 0.0]),  # 0 / 0 makes column 1 NaN
+    ], ids=["inf", "nan"])
+    def test_non_finite_x_t_with_positive_row_sums(self, rule, y_prev, y):
+        # every row sum of X(t-1) is finite and > 0, so X(t) is not
+        # scanned: its non-finite entry must still reach Y(t+1)
+        x = np.array([[1.0, 1e308], [1.0, 1.0]])
+        ex, y_prev, y = x.sum(axis=1), np.array(y_prev), np.array(y)
+        p = np.array([0.5, 0.5])
+        assert np.isfinite(ex).all() and ex.min() > 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(x * (y / y_prev)).all()
+            ys, _, outcome = helpers.reference_shock_trace(
+                x, y_prev, y, p, rule, max_steps=1)
+            assert (outcome, ys) == ("degenerate", [])
+            with pytest.raises(errors.Degenerate):
+                shockprop.step(x, ex, y_prev, y, p, rule)
+
 
 class TestRunToSteady:
     def test_zero_trade_converges_immediately(self):
@@ -642,6 +662,9 @@ class TestReferenceTrace:
     @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_export_raises_at_first_step(self, rule, bad):
+        # an inf export makes its row sum inf, still > 0, so that step
+        # skips the scan of X(t) and inf / inf makes the ratio NaN; a NaN
+        # export makes its row sum NaN, so that step scans X(t)
         state = self.with_row(2, {0: 1.0, 1: bad, 3: 2.0})
         cfg = ShockConfig(epicenter="C00", update_rule=rule)
         shocked = state.y.copy()

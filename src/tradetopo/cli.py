@@ -4,8 +4,10 @@ Exit codes, chosen in main() by the class of the error: 0 success,
 2 input/parse error (ParseError, MissingGdp, a missing or unreadable
 file, a bad option value), 3 empty or degenerate result (Degenerate,
 MissingYear), 4 non-convergence (NoConvergence; the partial trace is
-still written). All floats in output files use 12 significant digits so repeated runs
-are byte-identical.
+still written). In pipeline a failed shock scenario skips its year; a
+run in which every year fails exits 4 if each failure was NoConvergence,
+3 otherwise. All floats in output files use 12 significant digits so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -308,8 +310,10 @@ def cmd_recessions_test(args):
 
 def _write_fig4(args, config, flows, series, gdp):
     """Shock and recovery of every year in the CCC series; a year whose
-    scenario fails is skipped with a warning."""
-    fig4a_rows, fig4b_rows = [], []
+    scenario fails is skipped with a warning. When every year fails, no
+    fig4 file is written and NoConvergence is raised if every failure was
+    one, Degenerate otherwise."""
+    fig4a_rows, fig4b_rows, failures = [], [], []
     for point in series:
         year = point.year
         try:
@@ -317,6 +321,7 @@ def _write_fig4(args, config, flows, series, gdp):
             shock_trace, _, fit = _shock_and_recover(state, config)
         except (TradeTopoError, ValueError) as exc:
             log.warning("year %d: shock scenario skipped: %s", year, exc)
+            failures.append(exc)
             continue
         fig4a_rows.append((
             year, point.ccc, shockprop.impact_ratio(shock_trace, config.epicenter),
@@ -324,6 +329,10 @@ def _write_fig4(args, config, flows, series, gdp):
         fig4b_rows.append((
             year, point.ccc, shockprop.world_gdp_change(shock_trace), fit.lam,
         ))
+    if not fig4a_rows:
+        error = (NoConvergence if all(isinstance(e, NoConvergence)
+                                      for e in failures) else Degenerate)
+        raise error(f"shock scenario failed in all {len(failures)} years")
     write_table(
         os.path.join(args.out, "fig4a.csv"),
         ["year", "ccc", "impact_ratio"], fig4a_rows, "csv",
@@ -352,12 +361,12 @@ def cmd_pipeline(args):
     if windows is not None:
         shift = stats.recession_ccc_shift(series, windows)
     _write_ccc_outputs(args, nets, series, gdp)
+    if shift is not None:  # before fig4, which raises if every year fails
+        _write_recessions_test(args, shift)
     if gdp is None:
         log.warning("no GDP data; shock and recovery stages skipped")
     else:
         _write_fig4(args, config, flows, series, gdp)
-    if shift is not None:
-        _write_recessions_test(args, shift)
     return EXIT_OK
 
 

@@ -128,12 +128,16 @@ def apply_shock(state: EconomyState, config: ShockConfig) -> EconomyState:
 
 def step(x, ex, y_prev, y, p, update_rule="multiplicative"):
     """Advance one step from X(t-1) with row sums ex, Y(t-1) and Y(t);
-    return X(t), its row sums and Y(t+1).
+    return X(t), its row sums, Y(t+1) and the max relative change
+    max |Y(t+1) - Y(t)| / Y(t).
 
-    Rows whose sum is <= 0 or NaN keep their GDP. When every row sum is
-    > 0 the ratio is a plain divide and X(t) is not scanned for
-    non-finite entries: one makes its row sum, and so that row of Y(t+1),
-    NaN or inf, which the domain check rejects.
+    Y(t) must be finite and > 0. Rows whose sum is <= 0 or NaN keep their
+    GDP. When every row sum is > 0 the ratio is a plain divide and X(t)
+    is not scanned for non-finite entries: one makes its row sum, and so
+    that row of Y(t+1), NaN or inf, which the domain check rejects. The
+    min/max domain check of Y(t+1) runs only when the change is not < 1:
+    a change < 1 puts Y(t+1) in (0, 2 Y(t)), since rounding is monotone,
+    and a NaN or inf in Y(t+1) makes the change NaN or inf.
     """
     x_t = x * (y / y_prev)
     ex_t = np.add.reduce(x_t, 1)
@@ -151,27 +155,35 @@ def step(x, ex, y_prev, y, p, update_rule="multiplicative"):
         y_next *= y
     else:
         y_next += y
-    if not (np.minimum.reduce(y_next) > 0
-            and np.maximum.reduce(y_next) < np.inf
+    # the relative change |y_next - y| / y, in one temporary
+    change = y_next - y
+    np.absolute(change, out=change)
+    change /= y
+    delta = np.maximum.reduce(change)
+    if not ((delta < 1 or (np.minimum.reduce(y_next) > 0
+                           and np.maximum.reduce(y_next) < np.inf))
             and (trades or np.isfinite(x_t).all())):
         raise Degenerate("state left the finite positive domain")
-    return x_t, ex_t, y_next
+    return x_t, ex_t, y_next, delta
 
 
 def _iterate(prev: EconomyState, y: np.ndarray, config: ShockConfig,
              steps: list[np.ndarray], phase: str) -> SimulationTrace:
     """Iterate from prev, which holds X(t-1) and Y(t-1), and Y(t) = y,
     one step call per step, until the max relative change |Y(t+1) -
-    Y(t)| / Y(t) is below the tolerance; the final state holds the last
-    X(t) and Y(t+1). NoConvergence reports the last step's change."""
+    Y(t)| / Y(t) that step returns is below the tolerance; the final
+    state holds the last X(t) and Y(t+1). NoConvergence reports the last
+    step's change. Y(t) must be finite and > 0 on entry, as step needs;
+    every later Y(t) is a Y(t+1) that passed step's domain check."""
+    if not (np.minimum.reduce(y) > 0 and np.maximum.reduce(y) < np.inf):
+        raise Degenerate("GDP is not finite and > 0 at the start")
     x, y_prev, p = prev.x, prev.y, prev.p
     ex = np.add.reduce(x, 1)
     rule, tol = config.update_rule, config.tolerance
     converged = False
     for _ in range(config.max_steps):
-        x, ex, y_next = step(x, ex, y_prev, y, p, rule)
+        x, ex, y_next, delta = step(x, ex, y_prev, y, p, rule)
         steps.append(y_next)
-        delta = np.maximum.reduce(np.abs(y_next - y) / y)
         converged = bool(delta < tol)
         y_prev, y = y, y_next
         if converged:
@@ -270,7 +282,7 @@ def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
         raise ValueError("array must not contain infs or NaNs")
 
     def residuals(params):
-        y_inf, a, lam = params
+        y_inf, a, lam = params.tolist()
         return (y_inf - a * np.exp(-lam * t)) - w
 
     # the arguments that curve_fit(..., maxfev=10_000) passes on through

@@ -479,6 +479,42 @@ class TestPipeline:
         assert "1995" not in years and "1996" in years
         assert "year 1995: shock scenario skipped: 'MEX' not in state" in caplog.text
 
+    def check_no_fig4(self, out, *unchanged):
+        """out holds every output but fig4a.csv and fig4b.csv, and the
+        files named have their golden bytes."""
+        assert {p.name for p in out.iterdir()} == (
+            set(self.GOLDEN) - {"fig4a.csv", "fig4b.csv"})
+        for name in unchanged:
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == self.GOLDEN[name], name
+
+    def test_every_year_stalls_exit_4(self, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out, **{"max-steps": 3}) == 4
+        assert "error: shock scenario failed in all 12 years" in (
+            capsys.readouterr().err)
+        self.check_no_fig4(out, "ccc_series.csv", "trade_gdp_ratio.csv",
+                           "total_trade.csv", "recessions_test.json")
+
+    @pytest.mark.parametrize("years, extra", [
+        (None, {}),  # MissingGdp in every year
+        ("1995", {"max-steps": 3}),  # and NoConvergence in the others
+    ], ids=["missing-gdp", "mixed"])
+    def test_every_year_fails_exit_3(self, years, extra, fixtures_dir,
+                                     tmp_path, capsys):
+        lines = (fixtures_dir / "gdp.csv").read_text().splitlines()
+        gdp = tmp_path / "gdp.csv"
+        gdp.write_text("\n".join(
+            ln for ln in lines
+            if not (",CAN," in ln and (years is None
+                                       or ln.startswith(years + ",")))) + "\n")
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out, gdp=gdp, **extra) == 3
+        assert "error: shock scenario failed in all 12 years" in (
+            capsys.readouterr().err)
+        self.check_no_fig4(out, "ccc_series.csv", "total_trade.csv",
+                           "recessions_test.json")
+
 
 class TestExitCodes:
     # exit code, stderr fragment, argv ({d} is the input directory); every

@@ -134,7 +134,7 @@ class TestStep:
     def test_first_hand_iterate(self):
         st = two_country_state()
         shocked = shockprop.apply_shock(st, CFG)
-        x_t, _, y_next = shockprop.step(
+        x_t, _, y_next, _ = shockprop.step(
             st.x, st.x.sum(axis=1), st.y, shocked.y, st.p)
         # exports toward the epicenter shrink with its GDP
         assert x_t[1, 0] == pytest.approx(9.46, abs=1e-12)
@@ -145,23 +145,23 @@ class TestStep:
     def test_second_hand_iterate(self):
         st = two_country_state()
         shocked = shockprop.apply_shock(st, CFG)
-        x2, ex2, y2 = shockprop.step(
+        x2, ex2, y2, _ = shockprop.step(
             st.x, st.x.sum(axis=1), st.y, shocked.y, st.p)
-        x3, _, y3 = shockprop.step(x2, ex2, shocked.y, y2, st.p)
+        x3, _, y3, _ = shockprop.step(x2, ex2, shocked.y, y2, st.p)
         assert x3[0, 1] == pytest.approx(9.946, abs=1e-12)
         assert y3[0] == pytest.approx(94.548916, abs=1e-12)
 
     def test_zero_trade_fixed_point(self):
         st = zero_trade_state()
-        _, _, y_next = shockprop.step(st.x, st.x.sum(axis=1), st.y, st.y, st.p)
+        _, _, y_next, _ = shockprop.step(st.x, st.x.sum(axis=1), st.y, st.y, st.p)
         assert np.array_equal(y_next, st.y)
 
     def test_literal_additive_rule(self):
         st = two_country_state()
         shocked = shockprop.apply_shock(st, CFG)
-        x2, ex2, y2 = shockprop.step(
+        x2, ex2, y2, _ = shockprop.step(
             st.x, st.x.sum(axis=1), st.y, shocked.y, st.p)
-        _, _, y3 = shockprop.step(
+        _, _, y3, _ = shockprop.step(
             x2, ex2, shocked.y, y2, st.p, update_rule="literal-additive")
         assert y3[0] == pytest.approx(94.6 + 0.1 * (0.9946 - 1.0), abs=1e-12)
 
@@ -184,6 +184,41 @@ class TestStep:
             assert (outcome, ys) == ("degenerate", [])
             with pytest.raises(errors.Degenerate):
                 shockprop.step(x, ex, y_prev, y, p, rule)
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    def test_gdp_more_than_doubles(self, rule):
+        # country 0's only partner grew tenfold, so its GDP goes 1 -> 5.5
+        # under both rules: the change is >= 1, which takes the full
+        # domain check, and Y(t+1) stays finite and positive
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        y_prev, y = np.array([1.0, 100.0]), np.array([1.0, 1000.0])
+        p = np.array([0.5, 0.5])
+        x_t, _, y_next, delta = shockprop.step(x, x.sum(axis=1), y_prev, y,
+                                               p, rule)
+        assert delta == 4.5
+        ys, x_ref, _ = helpers.reference_shock_trace(x, y_prev, y, p, rule,
+                                                     max_steps=1)
+        assert np.array_equal(y_next, ys[0])
+        assert np.array_equal(x_t, x_ref)
+        # and the whole iteration, entered from the same state
+        start = EconomyState(("C00", "C01"), y_prev, x, p)
+        cfg = ShockConfig(epicenter="C01", update_rule=rule)
+        trace = check_run(lambda: shockprop.run_recovery(start, 1000.0, cfg),
+                          start, y, cfg)
+        assert trace.converged
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    def test_gdp_falls_to_exactly_zero(self, rule):
+        # P = 2 and a partner that halved: 1 + 2 * (0.5 - 1) = 0 under both
+        # rules, a change of exactly 1, which must take the domain check
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        y_prev, y = np.array([1.0, 2.0]), np.array([1.0, 1.0])
+        p = np.array([2.0, 0.5])
+        ys, _, outcome = helpers.reference_shock_trace(x, y_prev, y, p, rule,
+                                                       max_steps=1)
+        assert (outcome, ys) == ("degenerate", [])
+        with pytest.raises(errors.Degenerate):
+            shockprop.step(x, x.sum(axis=1), y_prev, y, p, rule)
 
 
 class TestRunToSteady:
@@ -233,6 +268,20 @@ class TestRunToSteady:
             for y in trace.steps:
                 assert np.all(y > 0)
                 assert np.all(y <= st.y * (1 + 1e-12))
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    @pytest.mark.parametrize("gdp", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("country", [0, 2])
+    def test_gdp_not_finite_positive_raises_on_entry(self, country, gdp, rule):
+        st = random_state(np.random.default_rng(5), 5)
+        y = st.y.copy()
+        y[country] = gdp
+        state = EconomyState(st.countries, y, st.x, st.p)
+        cfg = ShockConfig(epicenter="C00", update_rule=rule)
+        with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
+            with pytest.raises(errors.Degenerate, match="at the start"):
+                shockprop.run_to_steady(state, cfg)
+        assert spy.call_count == 0
 
 
 class TestWorldGdpChange:
@@ -341,6 +390,17 @@ class TestRunRecovery:
             shockprop.run_recovery(shock.final_state, 100.0, cfg)
         assert err.value.phase == "recovery"
         assert np.array_equal(err.value.trace.steps[0], shock.final_state.y)
+
+    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
+    @pytest.mark.parametrize("gdp", [0.0, -1.0, np.inf, np.nan])
+    def test_epicenter_gdp_not_finite_positive_raises_on_entry(self, gdp,
+                                                                rule):
+        cfg = ShockConfig(epicenter="USA", update_rule=rule)
+        steady = shockprop.run_to_steady(two_country_state(), cfg).final_state
+        with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
+            with pytest.raises(errors.Degenerate, match="at the start"):
+                shockprop.run_recovery(steady, gdp, cfg)
+        assert spy.call_count == 0
 
 
 class TestFitRecovery:
@@ -707,7 +767,8 @@ class TestDynamics:
         x, ex, y_prev, y = st.x, st.x.sum(axis=1), st.y, st.y.copy()
         y[0] *= 1.0 - 0.054
         for _ in range(200):
-            x, ex, y_next = shockprop.step(x, ex, y_prev, y, st.p, rule)
+            x, ex, y_next, delta = shockprop.step(x, ex, y_prev, y, st.p, rule)
+            assert delta == np.max(np.abs(y_next - y) / y)
             np.testing.assert_allclose(x, st.x * (y / st.y), rtol=1e-12)
             y_prev, y = y, y_next
 

@@ -137,7 +137,6 @@ def shock_config(args):
         shock_fraction=args.shock,
         tolerance=args.tol,
         max_steps=args.max_steps,
-        update_rule=args.update,
     )
 
 
@@ -436,8 +435,6 @@ def build_parser():
                        help="epicenter GDP shock fraction")
     shock.add_argument("--tol", type=_positive(float), default=1e-10)
     shock.add_argument("--max-steps", type=_positive(int), default=100_000)
-    shock.add_argument("--update", choices=shockprop.UPDATE_RULES,
-                       default="multiplicative")
     cut = _parent("--cut", type=_positive(int), default=6,
                   help="cluster count for cuts")
     table_format = _parent("--format", choices=("csv", "json"), default="csv")

@@ -3,16 +3,12 @@ network.
 
 Dynamics per step (time indices t-1, t, t+1):
   X_ij(t)   = X_ij(t-1) * Y_j(t) / Y_j(t-1)
-  Y_i(t+1)  = Y_i(t) * (1 + P_i * (X_i(t)/X_i(t-1) - 1))   [multiplicative]
-  Y_i(t+1)  = Y_i(t) +      P_i * (X_i(t)/X_i(t-1) - 1)    [literal-additive]
+  Y_i(t+1)  = Y_i(t) * (1 + P_i * (X_i(t)/X_i(t-1) - 1))
 with X_i = sum_j X_ij and P_i frozen at its initial value X_i(0)/Y_i(0).
 Countries with X_i(t-1) = 0 keep their GDP unchanged.
 
-The multiplicative rule is unit-free: scaling every GDP and export by
-one factor scales the whole trace by it. The literal-additive rule adds
-the dimensionless P_i * (X_i(t)/X_i(t-1) - 1) to a GDP in the input's
-currency unit, so its step counts, impact ratios and failures depend on
-that unit.
+The update is unit-free: scaling every GDP and export by one factor
+scales the whole trace by it.
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ import numpy as np
 from .errors import Degenerate, MissingGdp, NoConvergence
 
 log = logging.getLogger(__name__)
-
-UPDATE_RULES = ("multiplicative", "literal-additive")
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,6 @@ class ShockConfig:
     shock_fraction: float = 0.054
     tolerance: float = 1e-10
     max_steps: int = 100_000
-    update_rule: str = "multiplicative"
 
     def __post_init__(self):
         if not 0 < self.shock_fraction < 1:
@@ -76,8 +69,6 @@ class ShockConfig:
             )
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.update_rule not in UPDATE_RULES:
-            raise ValueError(f"update_rule must be one of {UPDATE_RULES}")
 
 
 @dataclass
@@ -126,7 +117,7 @@ def apply_shock(state: EconomyState, config: ShockConfig) -> EconomyState:
     return replace(state, y=y)
 
 
-def step(x, ex, y_prev, y, p, update_rule="multiplicative"):
+def step(x, ex, y_prev, y, p):
     """Advance one step from X(t-1) with row sums ex, Y(t-1) and Y(t);
     return X(t), its row sums, Y(t+1) and the max relative change
     max |Y(t+1) - Y(t)| / Y(t).
@@ -147,14 +138,11 @@ def step(x, ex, y_prev, y, p, update_rule="multiplicative"):
         y_next = ex_t / ex
     else:
         y_next = np.divide(ex_t, ex, out=np.ones_like(ex_t), where=ex > 0)
-    # y * (1 + p * (ratio - 1)) or y + p * (ratio - 1), in place, same bits
+    # y * (1 + p * (ratio - 1)), in place, same bits
     y_next -= 1.0
     y_next *= p
-    if update_rule == "multiplicative":
-        y_next += 1.0
-        y_next *= y
-    else:
-        y_next += y
+    y_next += 1.0
+    y_next *= y
     # the relative change |y_next - y| / y, in one temporary
     change = y_next - y
     np.absolute(change, out=change)
@@ -179,10 +167,10 @@ def _iterate(prev: EconomyState, y: np.ndarray, config: ShockConfig,
         raise Degenerate("GDP is not finite and > 0 at the start")
     x, y_prev, p = prev.x, prev.y, prev.p
     ex = np.add.reduce(x, 1)
-    rule, tol = config.update_rule, config.tolerance
+    tol = config.tolerance
     converged = False
     for _ in range(config.max_steps):
-        x, ex, y_next, delta = step(x, ex, y_prev, y, p, rule)
+        x, ex, y_next, delta = step(x, ex, y_prev, y, p)
         steps.append(y_next)
         converged = bool(delta < tol)
         y_prev, y = y, y_next

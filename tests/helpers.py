@@ -392,14 +392,13 @@ def two_country_shock_oracle(y_u, y_w, x, p, s, tol=1e-10):
 
 
 
-def reference_shock_trace(x, y_prev, y, p, update_rule="multiplicative",
-                          tol=1e-10, max_steps=100_000):
+def reference_shock_trace(x, y_prev, y, p, tol=1e-10, max_steps=100_000):
     """The shock iteration as first written, kept as a bit-for-bit oracle:
     each step sums the rows of X(t-1) again, rather than carrying them
     from the step before, and goes through the np.all/np.max wrappers.
 
     Starts from X(t-1) = x, Y(t-1) = y_prev and Y(t) = y, with the
-    library's update rules, domain checks and stopping rule. Returns
+    library's update rule, domain checks and stopping rule. Returns
     (ys, x_last, outcome): Y(t+1) of every step that passed its checks,
     the X(t) of the last of them, and "converged", "no convergence" or
     "degenerate" (step len(ys) + 1 then failed its checks)."""
@@ -410,10 +409,7 @@ def reference_shock_trace(x, y_prev, y, p, update_rule="multiplicative",
         ex_t = x_t.sum(axis=1)
         ratio = np.divide(ex_t, ex_prev, out=np.ones_like(ex_t),
                           where=ex_prev > 0)
-        if update_rule == "multiplicative":
-            y_next = y * (1.0 + p * (ratio - 1.0))
-        else:
-            y_next = y + p * (ratio - 1.0)
+        y_next = y * (1.0 + p * (ratio - 1.0))
         if not (np.all(np.isfinite(y_next)) and np.all(y_next > 0)
                 and np.all(np.isfinite(x_t))):
             return ys, x, "degenerate"

@@ -614,6 +614,19 @@ class TestExitCodes:
                 f"got '{value}'") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["shock", "recover", "pipeline"])
+    def test_update_option_is_gone(self, command, tmp_path, capsys):
+        # the GDP update has one rule; --trade and --gdp name no file
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--trade", tmp_path / "missing.csv",
+                "--gdp", tmp_path / "missing.csv", "--year", "2000",
+                "--update", "multiplicative", "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --update multiplicative" in err
+        assert not out.exists()
+
     def test_one_year_range(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"
         assert run("ccc-series", "--trade", fixtures_dir / "trade.csv",
@@ -793,6 +806,7 @@ class TestWithoutScipy:
         ["dendrogram", "--year", "2000"],
         ["share-matrix", "--year", "2000"],
         ["recessions-test", "--recessions", "recessions.csv"],
+        ["shock", "--gdp", "gdp.csv", "--year", "2000"],
     ], ids=lambda argv: argv[0])
     def test_same_bytes_with_scipy_blocked(self, argv, fixtures_dir, tmp_path,
                                            package_env):

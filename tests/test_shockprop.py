@@ -156,21 +156,11 @@ class TestStep:
         _, _, y_next, _ = shockprop.step(st.x, st.x.sum(axis=1), st.y, st.y, st.p)
         assert np.array_equal(y_next, st.y)
 
-    def test_literal_additive_rule(self):
-        st = two_country_state()
-        shocked = shockprop.apply_shock(st, CFG)
-        x2, ex2, y2, _ = shockprop.step(
-            st.x, st.x.sum(axis=1), st.y, shocked.y, st.p)
-        _, _, y3, _ = shockprop.step(
-            x2, ex2, shocked.y, y2, st.p, update_rule="literal-additive")
-        assert y3[0] == pytest.approx(94.6 + 0.1 * (0.9946 - 1.0), abs=1e-12)
-
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
     @pytest.mark.parametrize("y_prev, y", [
         ([1.0, 1.0], [1.0, 2.0]),  # 1e308 * 2 overflows to inf
         ([1.0, 0.0], [1.0, 0.0]),  # 0 / 0 makes column 1 NaN
     ], ids=["inf", "nan"])
-    def test_non_finite_x_t_with_positive_row_sums(self, rule, y_prev, y):
+    def test_non_finite_x_t_with_positive_row_sums(self, y_prev, y):
         # every row sum of X(t-1) is finite and > 0, so X(t) is not
         # scanned: its non-finite entry must still reach Y(t+1)
         x = np.array([[1.0, 1e308], [1.0, 1.0]])
@@ -180,45 +170,42 @@ class TestStep:
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(x * (y / y_prev)).all()
             ys, _, outcome = helpers.reference_shock_trace(
-                x, y_prev, y, p, rule, max_steps=1)
+                x, y_prev, y, p, max_steps=1)
             assert (outcome, ys) == ("degenerate", [])
             with pytest.raises(errors.Degenerate):
-                shockprop.step(x, ex, y_prev, y, p, rule)
+                shockprop.step(x, ex, y_prev, y, p)
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
-    def test_gdp_more_than_doubles(self, rule):
-        # country 0's only partner grew tenfold, so its GDP goes 1 -> 5.5
-        # under both rules: the change is >= 1, which takes the full
-        # domain check, and Y(t+1) stays finite and positive
+    def test_gdp_more_than_doubles(self):
+        # country 0's only partner grew tenfold, so its GDP goes 1 -> 5.5:
+        # the change is >= 1, which takes the full domain check, and
+        # Y(t+1) stays finite and positive
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         y_prev, y = np.array([1.0, 100.0]), np.array([1.0, 1000.0])
         p = np.array([0.5, 0.5])
-        x_t, _, y_next, delta = shockprop.step(x, x.sum(axis=1), y_prev, y,
-                                               p, rule)
+        x_t, _, y_next, delta = shockprop.step(x, x.sum(axis=1), y_prev, y, p)
         assert delta == 4.5
-        ys, x_ref, _ = helpers.reference_shock_trace(x, y_prev, y, p, rule,
+        ys, x_ref, _ = helpers.reference_shock_trace(x, y_prev, y, p,
                                                      max_steps=1)
         assert np.array_equal(y_next, ys[0])
         assert np.array_equal(x_t, x_ref)
         # and the whole iteration, entered from the same state
         start = EconomyState(("C00", "C01"), y_prev, x, p)
-        cfg = ShockConfig(epicenter="C01", update_rule=rule)
+        cfg = ShockConfig(epicenter="C01")
         trace = check_run(lambda: shockprop.run_recovery(start, 1000.0, cfg),
                           start, y, cfg)
         assert trace.converged
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
-    def test_gdp_falls_to_exactly_zero(self, rule):
-        # P = 2 and a partner that halved: 1 + 2 * (0.5 - 1) = 0 under both
-        # rules, a change of exactly 1, which must take the domain check
+    def test_gdp_falls_to_exactly_zero(self):
+        # P = 2 and a partner that halved: 1 + 2 * (0.5 - 1) = 0, a change
+        # of exactly 1, which must take the domain check
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         y_prev, y = np.array([1.0, 2.0]), np.array([1.0, 1.0])
         p = np.array([2.0, 0.5])
-        ys, _, outcome = helpers.reference_shock_trace(x, y_prev, y, p, rule,
+        ys, _, outcome = helpers.reference_shock_trace(x, y_prev, y, p,
                                                        max_steps=1)
         assert (outcome, ys) == ("degenerate", [])
         with pytest.raises(errors.Degenerate):
-            shockprop.step(x, x.sum(axis=1), y_prev, y, p, rule)
+            shockprop.step(x, x.sum(axis=1), y_prev, y, p)
 
 
 class TestRunToSteady:
@@ -269,15 +256,14 @@ class TestRunToSteady:
                 assert np.all(y > 0)
                 assert np.all(y <= st.y * (1 + 1e-12))
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
     @pytest.mark.parametrize("gdp", [0.0, -1.0, np.inf, np.nan])
     @pytest.mark.parametrize("country", [0, 2])
-    def test_gdp_not_finite_positive_raises_on_entry(self, country, gdp, rule):
+    def test_gdp_not_finite_positive_raises_on_entry(self, country, gdp):
         st = random_state(np.random.default_rng(5), 5)
         y = st.y.copy()
         y[country] = gdp
         state = EconomyState(st.countries, y, st.x, st.p)
-        cfg = ShockConfig(epicenter="C00", update_rule=rule)
+        cfg = ShockConfig(epicenter="C00")
         with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
             with pytest.raises(errors.Degenerate, match="at the start"):
                 shockprop.run_to_steady(state, cfg)
@@ -391,11 +377,9 @@ class TestRunRecovery:
         assert err.value.phase == "recovery"
         assert np.array_equal(err.value.trace.steps[0], shock.final_state.y)
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
     @pytest.mark.parametrize("gdp", [0.0, -1.0, np.inf, np.nan])
-    def test_epicenter_gdp_not_finite_positive_raises_on_entry(self, gdp,
-                                                                rule):
-        cfg = ShockConfig(epicenter="USA", update_rule=rule)
+    def test_epicenter_gdp_not_finite_positive_raises_on_entry(self, gdp):
+        cfg = ShockConfig(epicenter="USA")
         steady = shockprop.run_to_steady(two_country_state(), cfg).final_state
         with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
             with pytest.raises(errors.Degenerate, match="at the start"):
@@ -577,8 +561,8 @@ def check_run(run, start, y, cfg):
     helpers.reference_shock_trace, with one shockprop.step call per step.
     Returns its trace, or None when both left the positive domain."""
     ys, x_ref, outcome = helpers.reference_shock_trace(
-        start.x, start.y, y, start.p, cfg.update_rule, cfg.tolerance,
-        cfg.max_steps)
+        start.x, start.y, y, start.p, tol=cfg.tolerance,
+        max_steps=cfg.max_steps)
     with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
         if outcome == "degenerate":
             with pytest.raises(errors.Degenerate):
@@ -630,37 +614,31 @@ class TestReferenceTrace:
     @settings(max_examples=150, deadline=None)
     @given(n=hs.integers(2, 40), seed=hs.integers(0, 2**32 - 1),
            zero_frac=hs.floats(0.0, 0.5),
-           rule=hs.sampled_from(shockprop.UPDATE_RULES),
            log_tol=hs.floats(-13.0, -5.0), max_steps=hs.integers(1, 600),
            shock=hs.floats(0.001, 0.5), epi=hs.integers(0, 39))
-    def test_random_states(self, n, seed, zero_frac, rule, log_tol,
-                           max_steps, shock, epi):
+    def test_random_states(self, n, seed, zero_frac, log_tol, max_steps,
+                           shock, epi):
         state = random_state(np.random.default_rng(seed), n,
                              zero_rows=round(zero_frac * n))
         cfg = ShockConfig(epicenter=f"C{epi % n:02d}", shock_fraction=shock,
-                          tolerance=10.0 ** log_tol, max_steps=max_steps,
-                          update_rule=rule)
+                          tolerance=10.0 ** log_tol, max_steps=max_steps)
         check_against_reference(state, cfg)
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
-    def test_matched_pairs(self, rule):
-        cfg = ShockConfig(epicenter="C00", update_rule=rule)
+    def test_matched_pairs(self):
+        cfg = ShockConfig(epicenter="C00")
         for seed in range(5):
             pair = synthetic.matched_block_pair(seed)
             for which in ("uniform", "modular"):
                 check_against_reference(pair.state(which), cfg)
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
-    def test_fixture_years(self, rule, fixtures_dir):
-        cfg = ShockConfig(epicenter="USA", update_rule=rule)
+    def test_fixture_years(self, fixtures_dir):
+        cfg = ShockConfig(epicenter="USA")
         for state in fixture_states(fixtures_dir):
             check_against_reference(state, cfg)
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
-    def test_lognormal_n150(self, rule):
+    def test_lognormal_n150(self):
         state = random_state(np.random.default_rng(150), 150)
-        check_against_reference(
-            state, ShockConfig(epicenter="C07", update_rule=rule))
+        check_against_reference(state, ShockConfig(epicenter="C07"))
 
     def test_max_steps_exhausted(self):
         state = synthetic.matched_block_pair(1).state("modular")
@@ -675,18 +653,22 @@ class TestReferenceTrace:
         assert outcome == "no convergence"
         assert np.array_equal(trace.final_state.x, x_ref)
 
-    @pytest.mark.parametrize("gdp", [0.1, 1e-3])
-    def test_degenerate_at_reference_step(self, gdp):
-        st = synthetic.matched_block_pair(0).state("uniform")
-        scale = gdp / st.y[0]
-        state = EconomyState.from_exports(st.countries, st.y * scale,
-                                          st.x * scale)
-        cfg = ShockConfig(epicenter="C00", update_rule="literal-additive")
+    @pytest.mark.parametrize("q, passing", [(1.5, 7), (2.0, 4)])
+    def test_degenerate_at_reference_step(self, q, passing):
+        # two countries that each export q times their GDP to the other:
+        # with P = q > 1 every step amplifies the partner's fall, until a
+        # GDP leaves the positive domain after some steps have passed
+        state = EconomyState.from_exports(
+            ("C00", "C01"), np.ones(2), np.array([[0.0, q], [q, 0.0]]))
+        cfg = ShockConfig(epicenter="C00")
         shocked = state.y.copy()
         shocked[0] *= 1.0 - cfg.shock_fraction
-        _, _, outcome = helpers.reference_shock_trace(
-            state.x, state.y, shocked, state.p, cfg.update_rule)
-        assert outcome == "degenerate"
+        ys, _, outcome = helpers.reference_shock_trace(
+            state.x, state.y, shocked, state.p)
+        assert (outcome, len(ys)) == ("degenerate", passing)
+        with pytest.raises(errors.Degenerate,
+                           match="left the finite positive domain"):
+            shockprop.run_to_steady(state, cfg)
         # raises Degenerate on the reference's failing step
         check_against_reference(state, cfg)
 
@@ -701,51 +683,44 @@ class TestReferenceTrace:
             x[row, col] = value
         return EconomyState.from_exports(st.countries, st.y, x)
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
-    def test_row_sum_underflows_to_zero(self, rule):
+    def test_row_sum_underflows_to_zero(self):
         # the only export goes to the epicenter and is the smallest
         # subnormal: every row sum is > 0 at step 1, then this one is 0
         state = self.with_row(2, {0: 5e-324})
-        cfg = ShockConfig(epicenter="C00", shock_fraction=0.6,
-                          update_rule=rule)
+        cfg = ShockConfig(epicenter="C00", shock_fraction=0.6)
         assert 5e-324 * (1.0 - cfg.shock_fraction) == 0.0
         check_against_reference(state, cfg)
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
     @pytest.mark.parametrize("values", [{0: -2.0, 1: 1.0}, {0: 1.0, 1: -1.0}])
-    def test_negative_exports_with_sum_not_positive(self, rule, values):
+    def test_negative_exports_with_sum_not_positive(self, values):
         state = self.with_row(2, values)
         assert state.x[2].sum() <= 0
-        check_against_reference(
-            state, ShockConfig(epicenter="C00", update_rule=rule))
+        check_against_reference(state, ShockConfig(epicenter="C00"))
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_export_raises_at_first_step(self, rule, bad):
+    def test_non_finite_export_raises_at_first_step(self, bad):
         # an inf export makes its row sum inf, still > 0, so that step
         # skips the scan of X(t) and inf / inf makes the ratio NaN; a NaN
         # export makes its row sum NaN, so that step scans X(t)
         state = self.with_row(2, {0: 1.0, 1: bad, 3: 2.0})
-        cfg = ShockConfig(epicenter="C00", update_rule=rule)
+        cfg = ShockConfig(epicenter="C00")
         shocked = state.y.copy()
         shocked[0] *= 1.0 - cfg.shock_fraction
         with np.errstate(invalid="ignore"):  # inf / inf in the ratio
             ys, _, outcome = helpers.reference_shock_trace(
-                state.x, state.y, shocked, state.p, rule)
+                state.x, state.y, shocked, state.p)
             assert (outcome, len(ys)) == ("degenerate", 0)
             check_against_reference(state, cfg)
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
     @pytest.mark.parametrize("max_steps", [1, 3])
-    def test_no_convergence_reports_last_change(self, rule, max_steps):
+    def test_no_convergence_reports_last_change(self, max_steps):
         state = synthetic.matched_block_pair(1).state("modular")
-        cfg = ShockConfig(epicenter="C00", max_steps=max_steps,
-                          update_rule=rule)
+        cfg = ShockConfig(epicenter="C00", max_steps=max_steps)
         with pytest.raises(errors.NoConvergence) as err:
             shockprop.run_to_steady(state, cfg)
         shocked = err.value.trace.steps[1]
         ys, _, outcome = helpers.reference_shock_trace(
-            state.x, state.y, shocked, state.p, rule, max_steps=max_steps)
+            state.x, state.y, shocked, state.p, max_steps=max_steps)
         assert outcome == "no convergence"
         before, last = ([shocked] + ys)[-2:]
         change = max(abs(float(a) - float(b)) / float(b)
@@ -756,18 +731,17 @@ class TestReferenceTrace:
 
 
 class TestDynamics:
-    """Properties of the dynamics that follow from the update rules."""
+    """Properties of the dynamics that follow from the update rule."""
 
-    @pytest.mark.parametrize("rule", shockprop.UPDATE_RULES)
     @pytest.mark.parametrize("seed", range(4))
-    def test_exports_telescope(self, seed, rule):
+    def test_exports_telescope(self, seed):
         # X_ij(t) = X_ij(t-1) Y_j(t)/Y_j(t-1), so X(t) = X(0) Y(t)/Y(0)
         rng = np.random.default_rng(seed)
         st = random_state(rng, int(rng.integers(2, 30)), zero_rows=seed)
         x, ex, y_prev, y = st.x, st.x.sum(axis=1), st.y, st.y.copy()
         y[0] *= 1.0 - 0.054
         for _ in range(200):
-            x, ex, y_next, delta = shockprop.step(x, ex, y_prev, y, st.p, rule)
+            x, ex, y_next, delta = shockprop.step(x, ex, y_prev, y, st.p)
             assert delta == np.max(np.abs(y_next - y) / y)
             np.testing.assert_allclose(x, st.x * (y / st.y), rtol=1e-12)
             y_prev, y = y, y_next
@@ -807,9 +781,8 @@ def scaled_modular_pair(exponent):
 
 
 class TestCurrencyUnit:
-    """The multiplicative rule is unit-free; literal-additive adds a
-    dimensionless term to a GDP in the input's unit, so its results
-    depend on that unit."""
+    """The update is unit-free: results do not depend on the currency
+    unit of the GDP and export inputs."""
 
     @pytest.mark.parametrize("exponent", [-10, 10])
     def test_multiplicative_traces_scale_exactly(self, exponent):
@@ -821,14 +794,3 @@ class TestCurrencyUnit:
             assert np.array_equal(y * 2.0**exponent, y_scaled)
         assert (shockprop.impact_ratio(scaled, "C00")
                 == shockprop.impact_ratio(base, "C00"))
-
-    def test_literal_additive_depends_on_unit(self):
-        cfg = ShockConfig(epicenter="C00", update_rule="literal-additive")
-        with pytest.raises(errors.Degenerate, match="left the finite positive"):
-            shockprop.run_to_steady(scaled_modular_pair(-10), cfg)
-        ones = shockprop.run_to_steady(scaled_modular_pair(0), cfg)
-        assert len(ones.steps) == 6
-        assert shockprop.impact_ratio(ones, "C00") == pytest.approx(1.03e-4, rel=0.01)
-        large = shockprop.run_to_steady(scaled_modular_pair(10), cfg)
-        assert len(large.steps) == 4
-        assert shockprop.impact_ratio(large, "C00") == pytest.approx(1.0e-7, rel=0.01)

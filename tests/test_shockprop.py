@@ -11,6 +11,11 @@ import helpers
 from tradetopo import errors, ingest, shockprop, synthetic
 from tradetopo.shockprop import EconomyState, ShockConfig, SimulationTrace
 
+# Cases that ran once per update rule while the model had a second,
+# literal-additive one keep the rule in their ids; multiplicative is the
+# rule that is left, so the parameter is not read.
+RULE = pytest.mark.parametrize("rule", ["multiplicative"])
+
 
 def state_of(rows, gdp, year=2007):
     """year_state of (year, reporter, partner, value) rows, read as CSV."""
@@ -156,11 +161,12 @@ class TestStep:
         _, _, y_next, _ = shockprop.step(st.x, st.x.sum(axis=1), st.y, st.y, st.p)
         assert np.array_equal(y_next, st.y)
 
+    @RULE
     @pytest.mark.parametrize("y_prev, y", [
         ([1.0, 1.0], [1.0, 2.0]),  # 1e308 * 2 overflows to inf
         ([1.0, 0.0], [1.0, 0.0]),  # 0 / 0 makes column 1 NaN
     ], ids=["inf", "nan"])
-    def test_non_finite_x_t_with_positive_row_sums(self, y_prev, y):
+    def test_non_finite_x_t_with_positive_row_sums(self, rule, y_prev, y):
         # every row sum of X(t-1) is finite and > 0, so X(t) is not
         # scanned: its non-finite entry must still reach Y(t+1)
         x = np.array([[1.0, 1e308], [1.0, 1.0]])
@@ -175,7 +181,8 @@ class TestStep:
             with pytest.raises(errors.Degenerate):
                 shockprop.step(x, ex, y_prev, y, p)
 
-    def test_gdp_more_than_doubles(self):
+    @RULE
+    def test_gdp_more_than_doubles(self, rule):
         # country 0's only partner grew tenfold, so its GDP goes 1 -> 5.5:
         # the change is >= 1, which takes the full domain check, and
         # Y(t+1) stays finite and positive
@@ -195,7 +202,8 @@ class TestStep:
                           start, y, cfg)
         assert trace.converged
 
-    def test_gdp_falls_to_exactly_zero(self):
+    @RULE
+    def test_gdp_falls_to_exactly_zero(self, rule):
         # P = 2 and a partner that halved: 1 + 2 * (0.5 - 1) = 0, a change
         # of exactly 1, which must take the domain check
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -256,9 +264,10 @@ class TestRunToSteady:
                 assert np.all(y > 0)
                 assert np.all(y <= st.y * (1 + 1e-12))
 
+    @RULE
     @pytest.mark.parametrize("gdp", [0.0, -1.0, np.inf, np.nan])
     @pytest.mark.parametrize("country", [0, 2])
-    def test_gdp_not_finite_positive_raises_on_entry(self, country, gdp):
+    def test_gdp_not_finite_positive_raises_on_entry(self, country, gdp, rule):
         st = random_state(np.random.default_rng(5), 5)
         y = st.y.copy()
         y[country] = gdp
@@ -377,8 +386,10 @@ class TestRunRecovery:
         assert err.value.phase == "recovery"
         assert np.array_equal(err.value.trace.steps[0], shock.final_state.y)
 
+    @RULE
     @pytest.mark.parametrize("gdp", [0.0, -1.0, np.inf, np.nan])
-    def test_epicenter_gdp_not_finite_positive_raises_on_entry(self, gdp):
+    def test_epicenter_gdp_not_finite_positive_raises_on_entry(self, gdp,
+                                                                rule):
         cfg = ShockConfig(epicenter="USA")
         steady = shockprop.run_to_steady(two_country_state(), cfg).final_state
         with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
@@ -624,19 +635,22 @@ class TestReferenceTrace:
                           tolerance=10.0 ** log_tol, max_steps=max_steps)
         check_against_reference(state, cfg)
 
-    def test_matched_pairs(self):
+    @RULE
+    def test_matched_pairs(self, rule):
         cfg = ShockConfig(epicenter="C00")
         for seed in range(5):
             pair = synthetic.matched_block_pair(seed)
             for which in ("uniform", "modular"):
                 check_against_reference(pair.state(which), cfg)
 
-    def test_fixture_years(self, fixtures_dir):
+    @RULE
+    def test_fixture_years(self, rule, fixtures_dir):
         cfg = ShockConfig(epicenter="USA")
         for state in fixture_states(fixtures_dir):
             check_against_reference(state, cfg)
 
-    def test_lognormal_n150(self):
+    @RULE
+    def test_lognormal_n150(self, rule):
         state = random_state(np.random.default_rng(150), 150)
         check_against_reference(state, ShockConfig(epicenter="C07"))
 
@@ -683,7 +697,8 @@ class TestReferenceTrace:
             x[row, col] = value
         return EconomyState.from_exports(st.countries, st.y, x)
 
-    def test_row_sum_underflows_to_zero(self):
+    @RULE
+    def test_row_sum_underflows_to_zero(self, rule):
         # the only export goes to the epicenter and is the smallest
         # subnormal: every row sum is > 0 at step 1, then this one is 0
         state = self.with_row(2, {0: 5e-324})
@@ -691,14 +706,16 @@ class TestReferenceTrace:
         assert 5e-324 * (1.0 - cfg.shock_fraction) == 0.0
         check_against_reference(state, cfg)
 
+    @RULE
     @pytest.mark.parametrize("values", [{0: -2.0, 1: 1.0}, {0: 1.0, 1: -1.0}])
-    def test_negative_exports_with_sum_not_positive(self, values):
+    def test_negative_exports_with_sum_not_positive(self, rule, values):
         state = self.with_row(2, values)
         assert state.x[2].sum() <= 0
         check_against_reference(state, ShockConfig(epicenter="C00"))
 
+    @RULE
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_export_raises_at_first_step(self, bad):
+    def test_non_finite_export_raises_at_first_step(self, rule, bad):
         # an inf export makes its row sum inf, still > 0, so that step
         # skips the scan of X(t) and inf / inf makes the ratio NaN; a NaN
         # export makes its row sum NaN, so that step scans X(t)
@@ -712,8 +729,9 @@ class TestReferenceTrace:
             assert (outcome, len(ys)) == ("degenerate", 0)
             check_against_reference(state, cfg)
 
+    @RULE
     @pytest.mark.parametrize("max_steps", [1, 3])
-    def test_no_convergence_reports_last_change(self, max_steps):
+    def test_no_convergence_reports_last_change(self, rule, max_steps):
         state = synthetic.matched_block_pair(1).state("modular")
         cfg = ShockConfig(epicenter="C00", max_steps=max_steps)
         with pytest.raises(errors.NoConvergence) as err:
@@ -733,8 +751,9 @@ class TestReferenceTrace:
 class TestDynamics:
     """Properties of the dynamics that follow from the update rule."""
 
+    @RULE
     @pytest.mark.parametrize("seed", range(4))
-    def test_exports_telescope(self, seed):
+    def test_exports_telescope(self, seed, rule):
         # X_ij(t) = X_ij(t-1) Y_j(t)/Y_j(t-1), so X(t) = X(0) Y(t)/Y(0)
         rng = np.random.default_rng(seed)
         st = random_state(rng, int(rng.integers(2, 30)), zero_rows=seed)

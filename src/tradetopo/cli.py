@@ -90,18 +90,19 @@ def table_path(out_dir, stem, fmt_name):
     return os.path.join(out_dir, f"{stem}.{ext}")
 
 
+# "utf-8-sig" skips a leading byte-order mark, as Excel's "CSV UTF-8" writes
 def load_trade(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return ingest.parse_trade_csv(fh)
 
 
 def load_gdp(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return ingest.parse_gdp_csv(fh)
 
 
 def load_recessions(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return ingest.parse_recessions(fh)
 
 
@@ -124,7 +125,7 @@ def ccc_stage(args, panel):
             flows[year] = ingest.directed_flows(panel, year)
         except Degenerate as exc:
             log.warning("%s", exc)
-    nets = [ingest.symmetrize(year, *f, args.mode) for year, f in flows.items()]
+    nets = [ingest.symmetrize(year, *f) for year, f in flows.items()]
     series = metrics.ccc_series(nets)
     if not series:
         raise Degenerate("no year produced a CCC value")
@@ -180,7 +181,7 @@ def cmd_ccc_series(args):
 
 
 def cmd_dendrogram(args):
-    net = ingest.build_network(load_trade(args.trade), args.year, args.mode)
+    net = ingest.build_network(load_trade(args.trade), args.year)
     dend = hclust.average_linkage(hclust.distances_from_network(net))
     atomic_write(
         os.path.join(args.out, f"tree_{net.year}.nwk"),
@@ -200,7 +201,7 @@ def cmd_dendrogram(args):
 
 
 def cmd_share_matrix(args):
-    net = ingest.build_network(load_trade(args.trade), args.year, args.mode)
+    net = ingest.build_network(load_trade(args.trade), args.year)
     dend = hclust.average_linkage(hclust.distances_from_network(net))
     share = metrics.ordered_share_matrix(net, dend)
     write_table(
@@ -426,7 +427,6 @@ def build_parser():
     group.add_argument("--year", type=int)
     group.add_argument("--years", metavar="A:B", type=_year_range,
                        help="inclusive year range")
-    mode = _parent("--mode", choices=ingest.SYMMETRIZATION_MODES, default="sum")
     shock = _parent()
     # normalized like the country codes of the input files
     shock.add_argument("--epicenter", default="USA",
@@ -443,13 +443,13 @@ def build_parser():
         p = sub.add_parser(name, parents=[trade, *options, out])
         p.set_defaults(func=func)
 
-    add("ccc-series", cmd_ccc_series, gdp, years, mode, table_format)
-    add("dendrogram", cmd_dendrogram, year, mode, cut, table_format)
-    add("share-matrix", cmd_share_matrix, year, mode)
+    add("ccc-series", cmd_ccc_series, gdp, years, table_format)
+    add("dendrogram", cmd_dendrogram, year, cut, table_format)
+    add("share-matrix", cmd_share_matrix, year)
     add("shock", cmd_shock, need_gdp, year, shock, table_format)
     add("recover", cmd_recover, need_gdp, year, shock, table_format)
-    add("recessions-test", cmd_recessions_test, need_recessions, years, mode)
-    add("pipeline", cmd_pipeline, gdp, recessions, years, mode, shock, table_format)
+    add("recessions-test", cmd_recessions_test, need_recessions, years)
+    add("pipeline", cmd_pipeline, gdp, recessions, years, shock, table_format)
     return parser
 
 

@@ -26,8 +26,6 @@ TRADE_HEADER = ["year", "reporter", "partner", "value_usd"]
 GDP_HEADER = ["year", "country", "gdp_usd"]
 RECESSION_HEADER = ["label", "start", "end"]
 
-SYMMETRIZATION_MODES = ("sum", "max", "mean")
-
 
 @dataclass(frozen=True, eq=False)
 class TradePanel:
@@ -297,24 +295,14 @@ def _key_codes(keys):
     return c.astype(np.uint32).view("U3").ravel()
 
 
-def symmetrize(year, countries, x, mode="sum") -> TradeNetwork:
-    """TradeNetwork of a directed flow matrix x over countries.
-
-    mode "sum" gives M_ij = X_ij + X_ji (total bilateral commerce);
-    "max" and "mean" are kept for sensitivity checks.
-    """
-    if mode not in SYMMETRIZATION_MODES:
-        raise ValueError(f"mode must be one of {SYMMETRIZATION_MODES}, got {mode!r}")
-    if mode == "sum":
-        m = x + x.T
-    elif mode == "max":
-        m = np.maximum(x, x.T)
-    else:
-        m = (x + x.T) / 2.0
+def symmetrize(year, countries, x) -> TradeNetwork:
+    """TradeNetwork of a directed flow matrix x over countries: M_ij =
+    X_ij + X_ji, the total bilateral trade, with a zero diagonal."""
+    m = x + x.T
     np.fill_diagonal(m, 0.0)
     return TradeNetwork(year=year, countries=list(countries), m=m)
 
 
-def build_network(panel, year, mode="sum") -> TradeNetwork:
+def build_network(panel, year) -> TradeNetwork:
     """Symmetrize one year of a TradePanel into a TradeNetwork."""
-    return symmetrize(year, *directed_flows(panel, year), mode)
+    return symmetrize(year, *directed_flows(panel, year))

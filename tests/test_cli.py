@@ -637,7 +637,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["share-matrix", "--year", "2000", "--format", "json"],
         ["dendrogram", "--year", "2000", "--gdp", "nope.csv", "--shock", "5"],
-    ], ids=["share-matrix", "dendrogram"])
+        # the trade network is always M = X + X^T: --mode is gone
+        ["ccc-series", "--years", "1995:2000", "--mode", "sum"],
+        ["dendrogram", "--year", "2000", "--mode", "max"],
+        ["share-matrix", "--year", "2000", "--mode", "mean"],
+        ["recessions-test", "--recessions", "r.csv", "--mode", "sum"],
+        ["pipeline", "--years", "1995:2000", "--mode", "sum"],
+    ], ids=["share-matrix", "dendrogram", "ccc-series-mode", "dendrogram-mode",
+            "share-matrix-mode", "recessions-test-mode", "pipeline-mode"])
     def test_option_the_command_does_not_read_is_rejected(
             self, argv, small_inputs, tmp_path, capsys):
         trade, _ = small_inputs
@@ -649,6 +656,41 @@ class TestExitCodes:
         assert err.startswith("usage: tradetopo ")
         assert f"error: unrecognized arguments: {' '.join(argv[3:])}\n" in err
         assert not out.exists()
+
+
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" format starts the file with U+FEFF; quoting the
+    # first data row sends the trade file to the row parser
+    @pytest.mark.parametrize("argv, name, quote", [
+        (["ccc-series"], "trade.csv", False),
+        (["ccc-series"], "trade.csv", True),
+        (["shock", "--gdp", "gdp.csv", "--year", "2000"], "gdp.csv", False),
+        (["recessions-test", "--recessions", "recessions.csv"],
+         "recessions.csv", False),
+    ], ids=["trade", "trade-row-parser", "gdp", "recessions"])
+    def test_same_bytes_as_without(self, argv, name, quote, fixtures_dir,
+                                   tmp_path, monkeypatch):
+        lines = (fixtures_dir / name).read_text().split("\n")
+        if quote:
+            lines[1] = ",".join(f'"{field}"' for field in lines[1].split(","))
+        for fixture in fixtures_dir.glob("*.csv"):
+            (tmp_path / fixture.name).write_bytes(fixture.read_bytes())
+        (tmp_path / name).write_text("\ufeff" + "\n".join(lines), encoding="utf-8")
+        row_parses = []
+        parse_rows = ingest._parse_trade_rows
+        monkeypatch.setattr(ingest, "_parse_trade_rows",
+                            lambda s: row_parses.append(1) or parse_rows(s))
+        outs = {}
+        for label, d in (("plain", fixtures_dir), ("bom", tmp_path)):
+            outs[label] = tmp_path / f"out_{label}"
+            paths = [str(d / a) if a.endswith(".csv") else a for a in argv]
+            assert run(*paths, "--trade", d / "trade.csv",
+                       "--out", outs[label]) == 0
+        assert bool(row_parses) == quote
+        names = sorted(p.name for p in outs["plain"].iterdir())
+        assert names and sorted(p.name for p in outs["bom"].iterdir()) == names
+        for n in names:
+            assert (outs["bom"] / n).read_bytes() == (outs["plain"] / n).read_bytes()
 
 
 class TestHelp:
@@ -807,6 +849,7 @@ class TestWithoutScipy:
         ["share-matrix", "--year", "2000"],
         ["recessions-test", "--recessions", "recessions.csv"],
         ["shock", "--gdp", "gdp.csv", "--year", "2000"],
+        ["pipeline", "--recessions", "recessions.csv"],
     ], ids=lambda argv: argv[0])
     def test_same_bytes_with_scipy_blocked(self, argv, fixtures_dir, tmp_path,
                                            package_env):

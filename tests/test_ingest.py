@@ -153,24 +153,6 @@ def test_build_network_missing_reverse_flow():
     assert net.m[0, 1] == 3.0
 
 
-def test_build_network_max_mode():
-    net = ingest.build_network(
-        _panel((2000, "AAA", "BBB", 3.0), (2000, "BBB", "AAA", 2.0)),
-        2000,
-        mode="max",
-    )
-    assert net.m[0, 1] == 3.0
-
-
-def test_build_network_mean_mode():
-    net = ingest.build_network(
-        _panel((2000, "AAA", "BBB", 3.0), (2000, "BBB", "AAA", 2.0)),
-        2000,
-        mode="mean",
-    )
-    assert net.m[0, 1] == 2.5
-
-
 def test_build_network_sums_duplicate_rows():
     net = ingest.build_network(
         _panel((2000, "AAA", "BBB", 3.0), (2000, "AAA", "BBB", 4.0)), 2000
@@ -211,7 +193,7 @@ def test_build_network_symmetric_zero_diagonal(rows):
         assert np.array_equal(net.m, net.m.T)
         assert np.all(np.diag(net.m) == 0)
         assert np.all(net.m >= 0)
-        # sum mode total equals the sum of retained directed flows
+        # M counts each directed flow once in each triangle
         total = sum(r[3] for r in rows if r[0] == year)
         assert net.m.sum() / 2 == pytest.approx(total, rel=1e-12, abs=1e-6)
 

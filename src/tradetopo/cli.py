@@ -2,7 +2,8 @@
 
 Exit codes, chosen in main() by the class of the error: 0 success,
 2 input/parse error (ParseError, MissingGdp, a missing or unreadable
-file, a bad option value), 3 empty or degenerate result (Degenerate,
+file, a bad option value; ImportError, before any write, when recover or
+pipeline --gdp finds no scipy), 3 empty or degenerate result (Degenerate,
 MissingYear), 4 non-convergence (NoConvergence; the partial trace is
 still written). In pipeline a failed shock scenario skips its year; a
 run in which every year fails exits 4 if each failure was NoConvergence,
@@ -265,6 +266,7 @@ def cmd_recover(args):
     countries, x = ingest.directed_flows(panel, args.year)
     state = shockprop.year_state(args.year, countries, x, gdp)
     config = shock_config(args)
+    shockprop._lmdif()  # the recovery fit's scipy, loaded before any write
     try:
         shock_trace, recovery, fit = _shock_and_recover(state, config)
     except NoConvergence as exc:
@@ -348,6 +350,8 @@ def cmd_pipeline(args):
     gdp = load_gdp(args.gdp) if args.gdp else None
     windows = load_recessions(args.recessions) if args.recessions else None
     config = shock_config(args)
+    if gdp is not None:  # the recovery fit's scipy, loaded before any write
+        shockprop._lmdif()
     flows, nets, series = ccc_stage(args, panel)
     del panel  # free the parsed rows before the shock and KS stages
     # an epicenter absent from every year is a bad option, not a per-year skip
@@ -458,7 +462,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, MissingGdp, ValueError) as exc:
+    except (OSError, ImportError, ParseError, MissingGdp, ValueError) as exc:
         error, code = exc, EXIT_INPUT
     except NoConvergence as exc:
         error, code = exc, EXIT_NO_CONVERGENCE

@@ -106,9 +106,11 @@ def _parse_country(code, lineno):
     return upper
 
 
-# U8 fields: a wider one is truncated, so a field of 8 or more characters
-# goes to the row parser
+# U8 fields, which _CODE_POINTS views as 8 code points each: a wider one is
+# truncated, so a field of 8 or more characters goes to the row parser
 _TRADE_DTYPE = [("year", "i8"), ("reporter", "U8"), ("partner", "U8"), ("value", "f8")]
+_CODE_POINTS = np.dtype({"names": ["reporter", "partner"], "formats": [("=u4", 8)] * 2,
+                         "offsets": [8, 40], "itemsize": 80})
 
 
 def parse_trade_csv(stream) -> TradePanel:
@@ -116,58 +118,57 @@ def parse_trade_csv(stream) -> TradePanel:
     warning rather than rejected.
 
     The body is read with one np.loadtxt call and checked column-wise. If
-    either rejects any row, the row parser re-reads the whole stream: it
-    alone decides errors and their line numbers, and it accepts what
-    loadtxt does not (quoted fields, "1_000", years beyond int64)."""
+    either rejects any row or the text holds a NUL, the row parser re-reads
+    the whole stream: it alone decides errors and their line numbers, and it
+    accepts what loadtxt does not (quoted fields, "1_000", years beyond int64)."""
     stream = _as_stream(stream)
     if not stream.seekable():
         stream = io.StringIO(stream.read())
     start = stream.tell()
     _check_header(next(csv.reader(stream), None), TRADE_HEADER, "trade")
     panel = _read_trade_columns(stream)
-    if panel is None:
+    # a U field reads "USA\0" as "USA"; a header that passed has no NUL
+    stream.seek(start)
+    if panel is None or any("\0" in s for s in iter(lambda: stream.read(1 << 20), "")):
         stream.seek(start)
         panel = _parse_trade_rows(stream)
     return panel
 
 
-def _lines_without_nul(stream):
-    # a U column drops trailing NULs, which would read "USA\0" as "USA"
-    for line in stream:
-        if "\0" in line:
-            raise ValueError("NUL character")
-        yield line
-
-
 def _read_trade_columns(stream):
     """TradePanel of the body in one np.loadtxt read, or None if any row
     needs the row parser."""
-    lines = _lines_without_nul(stream)
     try:
         # loadtxt warns on a body without data, so look for one first
-        first = next((line for line in lines if line.strip("\r\n")), None)
+        first = next((line for line in stream if line.strip("\r\n")), None)
         if first is None:
             return None
-        table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+        table = np.loadtxt(itertools.chain([first], stream), delimiter=",",
                            comments=None, dtype=_TRADE_DTYPE, ndmin=1)
     except ValueError:
         return None
     value = table["value"]
     if not (np.isfinite(value).all() and (value >= 0).all()):
         return None
-    reporter = _country_codes(table["reporter"])
-    partner = _country_codes(table["partner"])
+    reporter = _country_codes(table, "reporter")
+    partner = _country_codes(table, "partner")
     if reporter is None or partner is None:
         return None
     # copies, so that the panel does not keep the whole table alive
     return _trade_panel(table["year"].copy(), reporter, partner, value.copy())
 
 
-def _country_codes(raw):
-    """_parse_country on a U8 column as <U3, or None if a code is bad."""
-    if (np.char.str_len(raw) >= 8).any():
+def _country_codes(table, field):
+    """_parse_country on a U8 column as <U3, or None if a code is bad; three
+    ASCII letters skip np.char, upper-cased by clearing bit 5 of each."""
+    points = table.view(_CODE_POINTS)[field]
+    if not points[:, 3:].any():
+        upper = points[:, :3] & ~np.uint32(0x20)
+        if (upper - ord("A") < 26).all():
+            return upper.view("U3").ravel()
+    if (np.char.str_len(table[field]) >= 8).any():
         return None
-    codes = np.char.strip(raw)
+    codes = np.char.strip(table[field])
     # str.upper runs per element, so only on the codes it changes
     lower = ~np.char.isupper(codes)
     if lower.any():

@@ -866,3 +866,25 @@ class TestWithoutScipy:
         assert names and sorted(p.name for p in blocked.iterdir()) == names
         for name in names:
             assert (blocked / name).read_bytes() == (normal / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--gdp", "gdp.csv", "--year", "2000"],
+        ["pipeline", "--gdp", "gdp.csv", "--recessions", "recessions.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_recovery_fit_without_scipy_writes_nothing(self, argv, fixtures_dir,
+                                                       tmp_path, package_env):
+        # the fit's scipy is loaded before the first write, and its
+        # ImportError is an input error, not a traceback
+        argv = [str(fixtures_dir / a) if a.endswith(".csv") else a for a in argv]
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.BLOCKED, *argv,
+             "--trade", str(fixtures_dir / "trade.csv"), "--out", str(out)],
+            capture_output=True, text=True, env=package_env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        errors = [line for line in proc.stderr.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and "scipy" in errors[0], proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists() or not any(out.iterdir())

@@ -329,6 +329,10 @@ FALLBACK_ERRORS = {
     "wide_code_field": ("1969,USA      X,CAN,5\n", "bad country code 'USA      X'", 2),
     # a U8 field drops trailing NULs
     "code_with_nul": ("1969,USA\0,CAN,5\n", "bad country code 'USA\\x00'", 2),
+    # the NUL scan reads the text in 1 MiB chunks; this NUL is past the first
+    "code_with_nul_after_first_chunk": (
+        "1969,USA,CAN,5\n" * 80_000 + "1969,USA\0,CAN,5\n",
+        "bad country code 'USA\\x00'", 80_002),
     "nan_value": ("1969,USA,CAN,nan\n", "non-finite value 'nan'", 2),
     "overflowing_value": ("1969,USA,CAN,1e400\n", "non-finite value '1e400'", 2),
     "whitespace_only_line": ("1969,USA,CAN,5\n  \n", "expected 4 columns, got 1", 3),
@@ -368,7 +372,9 @@ def test_parse_trade_fallback_rows(case):
      [(1969, "USA", "CAN", 8.1e9), (1970, "CAN", "USA", 2.5)]),
     ("+1969, usa ,Can, 1e5 \n1970,can,usa,.5\n1970,usa,usa,-0\n",
      [(1969, "USA", "CAN", 1e5), (1970, "CAN", "USA", 0.5)]),
-], ids=["upper_case", "mixed_case"])
+    # not ASCII letters: upper-cased by np.char, not by code point
+    ("1969,ÄÖÜ,Ωab,5\n", [(1969, "ÄÖÜ", "ΩAB", 5.0)]),
+], ids=["upper_case", "mixed_case", "non_ascii"])
 def test_parse_trade_clean_csv_skips_row_parser(body, rows, monkeypatch):
     def row_parser(stream):
         raise AssertionError("clean CSV fell back to the row parser")
@@ -404,6 +410,8 @@ EDITS = (
                             '"2000"', "100000000000000000000000"]]
     + [(1, text) for text in ['"usa"', "USA      X", "USA     ", "US", "U5A",
                               "ßab", "USA\0", ""]]
+    # next to the code-point ranges A..Z and a..z, and a letter above them
+    + [(i, text) for i in (1, 2) for text in ["U@A", "U[A", "U`A", "U{A", "ÉUA"]]
     + [(2, text) for text in ['"CAN"', "CANADA", "can\x85"]]
     + [(3, text) for text in ["1_000", ".5", "+5", "1e5", "nan", "inf", "1e400",
                               "-3", "-0", "5 # c", '"5"', "", "abc", None]]

@@ -97,13 +97,13 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     update; ties broken on the lexicographically smallest id pair.
 
     The m active clusters occupy the top-left m x m block of dist, one
-    slot each. A merge writes the new row into the lower of its two slots
-    and frees the higher one by moving the last active slot into it, so
-    one minimum pass is the only O(m^2) work per merge. Row and column a
-    are written from one row and slot last moves as a row and column, so
-    the block stays exactly symmetric. The update
-    adds the same two products whichever slot holds which cluster, so
-    the dendrogram does not depend on the slot layout.
+    slot each. A merge updates row a, the lower of its two slots, in place
+    and copies it into column a, then moves the last active slot into slot
+    b as a full row and column: one minimum pass is the only O(m^2) work
+    per merge, and the block stays exactly symmetric. The update adds the
+    same two products whichever slot holds which cluster, so the tree does
+    not depend on the slot layout. An overflowed update leaves an inf that
+    later updates keep, so the merge of its clusters raises Degenerate.
     """
     n = d.n
     if n < 2:
@@ -119,12 +119,14 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
         block = dist[: last + 1, : last + 1]
         # block is symmetric, so its column minima are its row minima
         rowmin = np.minimum.reduce(block, axis=0)
-        height = rowmin.min()
+        height = float(rowmin[rowmin.argmin()])
+        if height == np.inf:
+            raise Degenerate(f"average-linkage update overflowed by merge {k}")
         # both ends of every pair at the global minimum reach it in their row
         rows = (rowmin == height).nonzero()[0]
         if rows.size == 2:  # one pair at the minimum: no tie to break
             a, b = rows.tolist()
-            left, right = sorted((ids[a], ids[b]))
+            left, right = min(ids[a], ids[b]), max(ids[a], ids[b])
         else:
             hits, cols = (block[rows] == height).nonzero()
             ends, node = rows[hits], np.array(ids)
@@ -134,16 +136,16 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
             t = int(np.argmin(lo * (2 * n) + hi))
             left, right = int(lo[t]), int(hi[t])
             a, b = sorted((int(ends[t]), int(cols[t])))
-        height = float(height)
         new_size = sizes[a] + sizes[b]
-        # unweighted average update into slot a
-        row = (sizes[a] * block[a] + sizes[b] * block[b]) / new_size
-        block[a], block[:, a] = row, row
-        block[a, a] = np.inf
+        # unweighted average update in place in slot a; the diagonal stays inf
+        row = block[a]
+        row *= sizes[a]
+        row += block[b] * sizes[b]
+        row /= new_size
+        block[:, a] = row
         # free slot b (a < b <= last): the last active slot moves into it
-        block[b, :last] = block[last, :last]
-        block[:last, b] = block[:last, last]
-        block[b, b] = np.inf
+        block[b] = block[last]
+        block[:, b] = block[:, last]
         ids[a], sizes[a] = n + k, new_size
         ids[b], sizes[b] = ids[last], sizes[last]
         del ids[last], sizes[last]

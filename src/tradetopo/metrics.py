@@ -32,19 +32,21 @@ def ccc(d: hclust.CondensedDistances, c: hclust.CondensedDistances) -> float:
     the upper-triangle pairs.
 
     Pairs are sorted by (d, c) before summation so the result is
-    bit-identical under any relabeling of the underlying items: numpy
-    orders complex numbers by real part, then imaginary part.
+    bit-identical under any relabeling of the underlying items: one
+    argsort of d, then one lexsort of the runs of equal d by c.
     """
     if d.n != c.n:
         raise Degenerate(f"distance sizes differ: {d.n} vs {c.n}")
     if d.n < 3:
         raise Degenerate(f"CCC needs at least 3 items, got {d.n}")
-    pairs = np.empty(d.values.size, dtype=complex)
-    pairs.real, pairs.imag = d.values, c.values
-    pairs.sort()
-    # contiguous copies: a strided view can change numpy's summation
-    # blocking, and so the last bits
-    return stats.pearson(pairs.real.copy(), pairs.imag.copy())
+    order = d.values.argsort()
+    dv = d.values[order]
+    t = (dv[1:] == dv[:-1]).nonzero()[0]  # runs of equal d, each contiguous
+    if t.size:
+        tied = np.union1d(t, t + 1)
+        order[tied] = order[tied[np.lexsort((c.values[order[tied]], dv[tied]))]]
+    # fancy indexing gives contiguous arrays: strides could change the last bits
+    return stats.pearson(d.values[order], c.values[order])
 
 
 def ccc_of_network(net) -> CccPoint:

@@ -9,6 +9,7 @@ smallest positive double reads 0.0."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 
@@ -42,7 +43,12 @@ def pearson(x, y) -> float:
     ss_y = float((dy * dy).sum())
     if ss_x == 0.0 or ss_y == 0.0:
         raise Degenerate("zero variance input")
-    return float((dx * dy).sum() / np.sqrt(ss_x * ss_y))
+    if ss_x == np.inf or ss_y == np.inf:
+        raise Degenerate("variance overflows a double")
+    den = np.sqrt(ss_x * ss_y)
+    if not sys.float_info.min <= ss_x * ss_y < np.inf:  # over- or underflow
+        den = np.sqrt(ss_x) * np.sqrt(ss_y)
+    return float((dx * dy).sum() / den)
 
 
 def _observed_gaps(a, b):

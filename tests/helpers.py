@@ -152,7 +152,8 @@ def brute_cophenetic(n, merges):
 def lexsort_ccc(d, c):
     """CCC of condensed values d and c with the pairs put in
     np.lexsort((c, d)) order before stats.pearson: the order that the
-    library's complex-number sort must reproduce bit for bit."""
+    library's argsort of d with a lexsort of its tie runs must reproduce
+    bit for bit."""
     d = np.asarray(d, dtype=float)
     c = np.asarray(c, dtype=float)
     order = np.lexsort((c, d))

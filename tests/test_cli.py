@@ -82,6 +82,49 @@ class TestCccSeries:
         rows = json.loads((out / "ccc_series.json").read_text())
         assert rows[0]["year"] == 2000
 
+    @staticmethod
+    def six_country_years(year_2000_value):
+        """Trade CSV for 1999-2001 over six countries: flows 1-100, except
+        year_2000_value(reporter, partner) in 2000 where it is not None."""
+        rng = np.random.default_rng(6)
+        lines = ["year,reporter,partner,value_usd"]
+        countries = ["AAA", "BBB", "CCC", "DDD", "EEE", "FFF"]
+        for year in (1999, 2000, 2001):
+            for a in countries:
+                for b in countries:
+                    if a == b:
+                        continue
+                    value = year_2000_value(a, b) if year == 2000 else None
+                    if value is None:
+                        value = int(rng.integers(1, 101))
+                    lines.append(f"{year},{a},{b},{value!r}")
+        return "\n".join(lines) + "\n"
+
+    # the first overflows an average-linkage update, the second the sum
+    # behind the CCC's means and variances
+    OVERFLOWS = {
+        "linkage_update": (
+            lambda a, b: 8.5e307 if {a, b} == {"AAA", "BBB"} else None,
+            "average-linkage update overflowed"),
+        "variance": (
+            lambda a, b: 2e307 + 2.4e306 * ((ord(a[0]) * 7 + ord(b[0])) % 11),
+            "variance overflows a double"),
+    }
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("case", OVERFLOWS)
+    def test_overflowed_year_skipped(self, case, tmp_path, caplog):
+        value, message = self.OVERFLOWS[case]
+        trade = tmp_path / "trade.csv"
+        trade.write_text(self.six_country_years(value))
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            assert run("ccc-series", "--trade", trade, "--out", out) == 0
+        rows = (out / "ccc_series.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1999", "2001"]
+        assert all(row.split(",")[2] == "6" for row in rows)
+        assert f"skipping year 2000: {message}" in caplog.text
+
     # SHA-256 of `ccc-series --gdp --format json` on tests/fixtures, recorded
     # before write_table's JSON branch was routed through write_json.
     GOLDEN_JSON = {

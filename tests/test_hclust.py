@@ -171,6 +171,15 @@ class TestAverageLinkage:
         with pytest.raises(errors.Degenerate, match="need at least 2 items"):
             hclust.average_linkage(hclust.CondensedDistances(1, np.zeros(0)))
 
+    def test_overflowed_update_degenerate(self):
+        # the merge of two pairs adds 2 * 8.5e307 to 2 * 8.5e307, past the
+        # largest double; the inf reaches the minimum, where the tie scan
+        # would join a cluster with itself
+        d = cd([0.0] + [8.5e307] * 14)
+        with np.errstate(over="ignore"), pytest.raises(
+                errors.Degenerate, match="average-linkage update overflowed"):
+            hclust.average_linkage(d)
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(condensed_from(tie_levels), condensed_from(continuous)))
     def test_matches_delete_oracle(self, d):

@@ -82,8 +82,9 @@ def tie_heavy_pairs(draw_c):
 
 
 class TestCccOrder:
-    """metrics.ccc sorts the pairs as complex numbers; the lexsort order
-    it replaced is the oracle, and the result must be == to it."""
+    """metrics.ccc argsorts d and lexsorts only the runs of equal d; the
+    full np.lexsort((c, d)) order is the oracle, and the result must be
+    == to it."""
 
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_pairs(lambda rng, k: rng.integers(0, 4, k).astype(float)))
@@ -108,6 +109,40 @@ class TestCccOrder:
                else rng.uniform(0, 10, count))
         c = hclust.cophenetic(hclust.average_linkage(d))
         assert metrics.ccc(d, c) == helpers.lexsort_ccc(d.values, c.values)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_lexsort_oracle_tie_runs_at_both_ends(self, seed):
+        # the smallest and the largest d are each a run of equal values
+        rng = np.random.default_rng(seed)
+        d = np.concatenate([np.zeros(7), rng.uniform(1, 9, 176), np.full(7, 10.0)])
+        d = cd(rng.permutation(d))
+        c = cd(rng.integers(0, 5, d.values.size).astype(float))
+        assert metrics.ccc(d, c) == helpers.lexsort_ccc(d.values, c.values)
+
+    @pytest.mark.parametrize("odd", [0.0, 2.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_lexsort_oracle_all_but_one_tied(self, odd, seed):
+        # one run covers every sorted position but the first or the last
+        rng = np.random.default_rng(seed)
+        d = np.ones(190)
+        d[rng.integers(190)] = odd
+        c = cd(rng.uniform(0, 10, 190))
+        assert metrics.ccc(cd(d), c) == helpers.lexsort_ccc(d, c.values)
+
+
+class TestCccScale:
+    """The CCC of a network does not depend on the unit of its trade
+    values, even where the product of the two sums of squares in the
+    Pearson denominator over- or underflows a double."""
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-150])
+    def test_scaled_network(self, scale):
+        net = random_net(8, n=8)
+        scaled = TradeNetwork(net.year, net.countries, net.m * scale)
+        expected = metrics.ccc_of_network(net).ccc
+        assert metrics.ccc_of_network(scaled).ccc == pytest.approx(
+            expected, rel=1e-12, abs=0
+        )
 
 
 class TestCccOfNetwork:

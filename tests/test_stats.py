@@ -33,6 +33,11 @@ class TestPearson:
         with pytest.raises(errors.Degenerate, match="zero variance input"):
             stats.pearson([1, 1, 1], [1, 2, 3])
 
+    def test_overflowed_variance(self):
+        with np.errstate(over="ignore"), pytest.raises(
+                errors.Degenerate, match="variance overflows a double"):
+            stats.pearson([-1e200, 0.0, 1e200], [1, 2, 4])
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000))
     def test_matches_direct_formula(self, seed):

@@ -26,6 +26,17 @@ def upper_indices(n):
     return iu
 
 
+@lru_cache(maxsize=16)
+def pair_index(n):
+    """n x n table of the condensed position of pair {s, k}; the diagonal
+    points one past the last pair. Shared and read-only."""
+    rows, cols = upper_indices(n)
+    index = np.full((n, n), rows.size)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    index.flags.writeable = False
+    return index
+
+
 @dataclass(frozen=True)
 class CondensedDistances:
     """Upper triangle of a symmetric distance matrix, row-major over
@@ -96,60 +107,68 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     """UPGMA-style agglomeration with the unweighted Lance-Williams
     update; ties broken on the lexicographically smallest id pair.
 
-    The m active clusters occupy the top-left m x m block of dist, one
-    slot each. A merge updates row a, the lower of its two slots, in place
-    and copies it into column a, then moves the last active slot into slot
-    b as a full row and column: one minimum pass is the only O(m^2) work
-    per merge, and the block stays exactly symmetric. The update adds the
-    same two products whichever slot holds which cluster, so the tree does
-    not depend on the slot layout. An overflowed update leaves an inf that
-    later updates keep, so the merge of its clusters raises Degenerate.
+    The distances live in a copy f of the condensed vector, with one
+    spare inf entry at the end that pair_index gives for the diagonal.
+    The active clusters occupy slots first..n-1, one each, so their pairs
+    are exactly the suffix of f that starts at pair (first, first + 1),
+    and one argmin over it finds the merge. A second argmin past that hit
+    tells whether the minimum is tied; a tie scans every hit. The update
+    adds the same two products whichever slot holds which cluster, so the
+    tree does not depend on the slot layout. It goes into one of the two
+    slots, and the other is freed by moving slot first into it, after
+    which first advances. An overflowed update leaves an inf that later
+    updates keep, so the merge of its clusters raises Degenerate.
     """
     n = d.n
     if n < 2:
         raise Degenerate(f"need at least 2 items, got {n}")
-    # dist is indexed by active slot; ids map slots to node ids
-    dist = d.as_square()
-    np.fill_diagonal(dist, np.inf)
-    ids = list(range(n))
+    # adding 0.0 turns -0.0 into 0.0, so no zero height takes its sign
+    # from whichever of two equal zeros a scan meets first
+    f = np.append(d.values, np.inf)
+    f += 0.0
+    index = pair_index(n)
+    rows, cols = upper_indices(n)
+    ids = list(range(n))  # node id of each slot
     sizes = [1] * n
     merges = []
-    for k in range(n - 1):
-        last = n - k - 1
-        block = dist[: last + 1, : last + 1]
-        # block is symmetric, so its column minima are its row minima
-        rowmin = np.minimum.reduce(block, axis=0)
-        height = float(rowmin[rowmin.argmin()])
-        if height == np.inf:
-            raise Degenerate(f"average-linkage update overflowed by merge {k}")
-        # both ends of every pair at the global minimum reach it in their row
-        rows = (rowmin == height).nonzero()[0]
-        if rows.size == 2:  # one pair at the minimum: no tie to break
-            a, b = rows.tolist()
-            left, right = min(ids[a], ids[b]), max(ids[a], ids[b])
-        else:
-            hits, cols = (block[rows] == height).nonzero()
-            ends, node = rows[hits], np.array(ids)
-            lo = np.minimum(node[ends], node[cols])
-            hi = np.maximum(node[ends], node[cols])
-            # node ids are below 2n, so this key orders pairs as (lo, hi)
-            t = int(np.argmin(lo * (2 * n) + hi))
-            left, right = int(lo[t]), int(hi[t])
-            a, b = sorted((int(ends[t]), int(cols[t])))
-        new_size = sizes[a] + sizes[b]
-        # unweighted average update in place in slot a; the diagonal stays inf
-        row = block[a]
-        row *= sizes[a]
-        row += block[b] * sizes[b]
-        row /= new_size
-        block[:, a] = row
-        # free slot b (a < b <= last): the last active slot moves into it
-        block[b] = block[last]
-        block[:, b] = block[:, last]
-        ids[a], sizes[a] = n + k, new_size
-        ids[b], sizes[b] = ids[last], sizes[last]
-        del ids[last], sizes[last]
-        merges.append(Merge(left=left, right=right, height=height, size=new_size))
+    # an overflow is caught as an inf height below
+    with np.errstate(over="ignore"):
+        for first in range(n - 1):
+            start = first * (2 * n - first - 1) // 2
+            live = f[start:]  # the live pairs, then the spare: rest is never empty
+            p = int(live.argmin())
+            height = float(live[p])
+            if height == np.inf:
+                raise Degenerate(f"average-linkage update overflowed by merge {first}")
+            # argmin returns the first of equal minima: a tie lies past p
+            rest = live[p + 1 :]
+            if rest[rest.argmin()] != height:
+                a, b = int(rows[start + p]), int(cols[start + p])
+                left, right = min(ids[a], ids[b]), max(ids[a], ids[b])
+            else:
+                hits = (live == height).nonzero()[0] + start
+                ends, others, node = rows[hits], cols[hits], np.array(ids)
+                lo = np.minimum(node[ends], node[others])
+                hi = np.maximum(node[ends], node[others])
+                # node ids are below 2n, so this key orders pairs as (lo, hi)
+                t = int(np.argmin(lo * (2 * n) + hi))
+                left, right = int(lo[t]), int(hi[t])
+                a, b = int(ends[t]), int(others[t])
+            new_size = sizes[a] + sizes[b]
+            # row k - first: the merged cluster's distance to slot k
+            row = f[index[a, first:]]
+            row *= sizes[a]
+            row += f[index[b, first:]] * sizes[b]
+            row /= new_size
+            if a == first:  # the merged cluster keeps slot b, first is freed
+                a, b = b, a
+            f[index[a, first:]] = row
+            if b != first:
+                f[index[b, first + 1 :]] = f[index[first, first + 1 :]]
+                ids[b], sizes[b] = ids[first], sizes[first]
+                f[-1] = np.inf  # the move wrote pair (first, b) there
+            ids[a], sizes[a] = n + first, new_size
+            merges.append(Merge(left=left, right=right, height=height, size=new_size))
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 
 

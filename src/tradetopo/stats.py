@@ -35,12 +35,13 @@ def pearson(x, y) -> float:
         raise Degenerate(f"lengths differ: {x.shape} vs {y.shape}")
     if x.size < 3:
         raise Degenerate(f"need at least 3 points, got {x.size}")
-    dx = x - x.mean()
-    dy = y - y.mean()
     # elementwise sums, not a BLAS dot, whose threads would make the last
-    # bits depend on the thread count
-    ss_x = float((dx * dx).sum())
-    ss_y = float((dy * dy).sum())
+    # bits depend on the thread count; an overflow is caught as an inf below
+    with np.errstate(over="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        ss_x = float((dx * dx).sum())
+        ss_y = float((dy * dy).sum())
     if ss_x == 0.0 or ss_y == 0.0:
         raise Degenerate("zero variance input")
     if ss_x == np.inf or ss_y == np.inf:

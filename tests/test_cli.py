@@ -111,7 +111,7 @@ class TestCccSeries:
             "variance overflows a double"),
     }
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", OVERFLOWS)
     def test_overflowed_year_skipped(self, case, tmp_path, caplog):
         value, message = self.OVERFLOWS[case]

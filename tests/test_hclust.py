@@ -59,15 +59,17 @@ def binary_levels(rng, count):
     return rng.integers(0, 2, count).astype(float)
 
 
-def gravity_chain(n):
+def gravity_chain(n, levels=None):
     """Distances M* - M_ij of a gravity-style M = g_i g_j * noise with
     widely spread masses g, as in the benchmark's trade networks: the
-    heaviest cluster absorbs the other leaves one at a time."""
+    heaviest cluster absorbs the other leaves one at a time. With levels,
+    the distances are floored to that many integer levels."""
     rng = np.random.default_rng(n)
     g = rng.lognormal(0.0, 1.5, n)
     rows, cols = hclust.upper_indices(n)
     m = g[rows] * g[cols] * rng.lognormal(0.0, 0.3, rows.size)
-    return cd(m.max() - m)
+    d = m.max() - m
+    return cd(d if levels is None else np.floor(d / d.max() * levels))
 
 
 def pinned_dendrogram(n, values):
@@ -79,6 +81,16 @@ def pinned_dendrogram(n, values):
 def assert_same_bits(got, expected):
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def heights(dend):
+    return np.array([m.height for m in dend.merges])
+
+
+def assert_same_tree(got, expected):
+    """Merge == reads -0.0 as 0.0, so the heights are compared as bits too."""
+    assert got == expected
+    assert_same_bits(heights(got), heights(expected))
 
 
 def scipy_cophenet(dend):
@@ -183,26 +195,54 @@ class TestAverageLinkage:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(condensed_from(tie_levels), condensed_from(continuous)))
     def test_matches_delete_oracle(self, d):
-        assert hclust.average_linkage(d) == delete_oracle(d)
+        assert_same_tree(hclust.average_linkage(d), delete_oracle(d))
 
     @pytest.mark.parametrize("n", [150, 200])
     @pytest.mark.parametrize("values", [tie_levels, continuous])
     def test_matches_delete_oracle_pinned(self, n, values):
         d = cd(values(np.random.default_rng(n), n * (n - 1) // 2))
-        assert hclust.average_linkage(d) == delete_oracle(d)
+        assert_same_tree(hclust.average_linkage(d), delete_oracle(d))
 
     @pytest.mark.parametrize("n", [150, 200])
     def test_matches_delete_oracle_gravity_chain(self, n):
         d = gravity_chain(n)
         dend = hclust.average_linkage(d)
-        assert dend == delete_oracle(d)
+        assert_same_tree(dend, delete_oracle(d))
+        leaf_joins = sum((m.left < n) != (m.right < n) for m in dend.merges)
+        assert leaf_joins >= 0.9 * (n - 1)
+
+    def test_matches_delete_oracle_integer_gravity_chain(self):
+        # 1,000 integer levels: 86 of the 199 merges pick among tied
+        # pairs, all of them after a merge has moved slot first into a
+        # freed slot, so the slot order of the pairs is not their node-id
+        # order
+        n = 200
+        d = gravity_chain(n, levels=1000)
+        dend = hclust.average_linkage(d)
+        assert_same_tree(dend, delete_oracle(d))
         leaf_joins = sum((m.left < n) != (m.right < n) for m in dend.merges)
         assert leaf_joins >= 0.9 * (n - 1)
 
     @settings(max_examples=200, deadline=None)
     @given(condensed_from(binary_levels))
     def test_matches_delete_oracle_binary(self, d):
-        assert hclust.average_linkage(d) == delete_oracle(d)
+        assert_same_tree(hclust.average_linkage(d), delete_oracle(d))
+
+    @settings(max_examples=200, deadline=None)
+    @given(condensed_from(tie_levels))
+    def test_negative_zero_reads_as_zero(self, d):
+        # the zeros at even positions of a tie-heavy input as -0.0
+        signed = np.where((d.values == 0) & (np.arange(d.values.size) % 2 == 0),
+                          -0.0, d.values)
+        dend = hclust.average_linkage(cd(signed))
+        assert_same_bits(heights(dend), heights(hclust.average_linkage(d)))
+        newick = hclust.to_newick(dend, [f"L{i}" for i in range(d.n)])
+        assert not any(b.startswith("-") for b in re.findall(r":([^,();]+)", newick))
+
+    def test_negative_zero_pinned(self):
+        dend = hclust.average_linkage(cd([0.0, -0.0, 1.0]))
+        assert_same_bits(heights(dend), np.array([0.0, 0.5]))
+        assert hclust.to_newick(dend, "abc") == "((a:0,b:0):0.25,c:0.25);"
 
     @settings(max_examples=150, deadline=None)
     @given(random_condensed)

@@ -6,8 +6,10 @@ heights are nondecreasing (average linkage admits no inversions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +18,8 @@ from .errors import Degenerate
 NEWICK_METACHARS = set("(),:;")
 
 
-@lru_cache(maxsize=16)
+# one size cached: each stage works on one year's n at a time
+@lru_cache(maxsize=1)
 def upper_indices(n):
     """Row and column indices of the pairs i < j of an n x n matrix, in
     condensed (row-major) order; shared and read-only."""
@@ -26,7 +29,7 @@ def upper_indices(n):
     return iu
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def pair_index(n):
     """n x n table of the condensed position of pair {s, k}; the diagonal
     points one past the last pair. Shared and read-only."""
@@ -65,8 +68,7 @@ class CondensedDistances:
         return sq
 
 
-@dataclass(frozen=True)
-class Merge:
+class Merge(NamedTuple):
     left: int
     right: int
     height: float
@@ -75,22 +77,12 @@ class Merge:
 
 @dataclass(frozen=True)
 class Dendrogram:
+    """n_leaves - 1 merges in merge order. Nothing checks them: a tree
+    from average_linkage is well formed, and one built by hand is its
+    caller's responsibility (each child an earlier node, used once)."""
+
     n_leaves: int
     merges: tuple[Merge, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "merges", tuple(self.merges))
-        n = self.n_leaves
-        if len(self.merges) != n - 1:
-            raise ValueError(f"expected {n - 1} merges, got {len(self.merges)}")
-        used = set()
-        for k, m in enumerate(self.merges):
-            for child in (m.left, m.right):
-                if not 0 <= child < n + k or child in used:
-                    raise ValueError(f"bad child id {child} in merge {k}")
-                used.add(child)
-        if self.merges and self.merges[-1].size != n:
-            raise ValueError("final merge must contain all leaves")
 
 
 def distances_from_network(net) -> CondensedDistances:
@@ -116,60 +108,59 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     adds the same two products whichever slot holds which cluster, so the
     tree does not depend on the slot layout. It goes into one of the two
     slots, and the other is freed by moving slot first into it, after
-    which first advances. An overflowed update leaves an inf that later
-    updates keep, so the merge of its clusters raises Degenerate.
+    which first advances. The distances are scaled by the power of two
+    that brings the largest below 1, and the heights are scaled back;
+    that is exact unless a nonzero distance lies below max(d) * 2**-1022.
     """
     n = d.n
     if n < 2:
         raise Degenerate(f"need at least 2 items, got {n}")
+    e = math.frexp(float(d.values.max()))[1]
     # adding 0.0 turns -0.0 into 0.0, so no zero height takes its sign
     # from whichever of two equal zeros a scan meets first
-    f = np.append(d.values, np.inf)
+    f = np.ldexp(np.append(d.values, np.inf), -e)
     f += 0.0
     index = pair_index(n)
     rows, cols = upper_indices(n)
     ids = list(range(n))  # node id of each slot
     sizes = [1] * n
     merges = []
-    # an overflow is caught as an inf height below
-    with np.errstate(over="ignore"):
-        for first in range(n - 1):
-            start = first * (2 * n - first - 1) // 2
-            live = f[start:]  # the live pairs, then the spare: rest is never empty
-            p = int(live.argmin())
-            height = float(live[p])
-            if height == np.inf:
-                raise Degenerate(f"average-linkage update overflowed by merge {first}")
-            # argmin returns the first of equal minima: a tie lies past p
-            rest = live[p + 1 :]
-            if rest[rest.argmin()] != height:
-                a, b = int(rows[start + p]), int(cols[start + p])
-                left, right = min(ids[a], ids[b]), max(ids[a], ids[b])
-            else:
-                hits = (live == height).nonzero()[0] + start
-                ends, others, node = rows[hits], cols[hits], np.array(ids)
-                lo = np.minimum(node[ends], node[others])
-                hi = np.maximum(node[ends], node[others])
-                # node ids are below 2n, so this key orders pairs as (lo, hi)
-                t = int(np.argmin(lo * (2 * n) + hi))
-                left, right = int(lo[t]), int(hi[t])
-                a, b = int(ends[t]), int(others[t])
-            new_size = sizes[a] + sizes[b]
-            # row k - first: the merged cluster's distance to slot k
-            row = f[index[a, first:]]
-            row *= sizes[a]
-            row += f[index[b, first:]] * sizes[b]
-            row /= new_size
-            if a == first:  # the merged cluster keeps slot b, first is freed
-                a, b = b, a
-            f[index[a, first:]] = row
-            if b != first:
-                f[index[b, first + 1 :]] = f[index[first, first + 1 :]]
-                ids[b], sizes[b] = ids[first], sizes[first]
-                f[-1] = np.inf  # the move wrote pair (first, b) there
-            ids[a], sizes[a] = n + first, new_size
-            merges.append(Merge(left=left, right=right, height=height, size=new_size))
-    return Dendrogram(n_leaves=n, merges=tuple(merges))
+    # distances below 1 keep every update below n: none overflows
+    for first in range(n - 1):
+        start = first * (2 * n - first - 1) // 2
+        live = f[start:]  # the live pairs, then the spare: rest is never empty
+        p = int(live.argmin())
+        height = float(live[p])
+        # argmin returns the first of equal minima: a tie lies past p
+        rest = live[p + 1 :]
+        if rest[rest.argmin()] != height:
+            a, b = int(rows[start + p]), int(cols[start + p])
+            left, right = min(ids[a], ids[b]), max(ids[a], ids[b])
+        else:
+            hits = (live == height).nonzero()[0] + start
+            ends, others, node = rows[hits], cols[hits], np.array(ids)
+            lo = np.minimum(node[ends], node[others])
+            hi = np.maximum(node[ends], node[others])
+            # node ids are below 2n, so this key orders pairs as (lo, hi)
+            t = int(np.argmin(lo * (2 * n) + hi))
+            left, right = int(lo[t]), int(hi[t])
+            a, b = int(ends[t]), int(others[t])
+        new_size = sizes[a] + sizes[b]
+        # row k - first: the merged cluster's distance to slot k
+        row = f[index[a, first:]]
+        row *= sizes[a]
+        row += f[index[b, first:]] * sizes[b]
+        row /= new_size
+        if a == first:  # the merged cluster keeps slot b, first is freed
+            a, b = b, a
+        f[index[a, first:]] = row
+        if b != first:
+            f[index[b, first + 1 :]] = f[index[first, first + 1 :]]
+            ids[b], sizes[b] = ids[first], sizes[first]
+            f[-1] = np.inf  # the move wrote pair (first, b) there
+        ids[a], sizes[a] = n + first, new_size
+        merges.append((left, right, math.ldexp(height, e), new_size))
+    return Dendrogram(n_leaves=n, merges=tuple(map(Merge._make, merges)))
 
 
 def cophenetic(dend: Dendrogram) -> CondensedDistances:

@@ -75,8 +75,7 @@ def share_matrix(net) -> ShareMatrix:
     to share 0."""
     totals = net.m.sum(axis=1)
     denom = totals[:, None] + totals[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(denom > 0, net.m / np.where(denom > 0, denom, 1.0), 0.0)
+    s = np.divide(net.m, denom, out=np.zeros_like(denom), where=denom > 0)
     np.fill_diagonal(s, 0.0)
     return ShareMatrix(countries=list(net.countries), s=s)
 
@@ -91,7 +90,7 @@ def ordered_share_matrix(net, dend: hclust.Dendrogram) -> ShareMatrix:
     order = hclust.leaf_order(dend)
     return ShareMatrix(
         countries=[base.countries[i] for i in order],
-        s=base.s[np.ix_(order, order)],
+        s=base.s.take(order, 0).take(order, 1),
     )
 
 

@@ -9,9 +9,8 @@ smallest positive double reads 0.0."""
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from math import comb
+from math import comb, frexp
 
 import numpy as np
 
@@ -28,28 +27,31 @@ class KsResult:
 
 
 def pearson(x, y) -> float:
-    """Product-moment correlation of two equal-length sequences."""
+    """Product-moment correlation of two equal-length sequences. Each is
+    scaled by the power of two that brings its largest magnitude below
+    1, which changes no bit of the result unless a nonzero value lies
+    below that magnitude times 2**-1022."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise Degenerate(f"lengths differ: {x.shape} vs {y.shape}")
     if x.size < 3:
         raise Degenerate(f"need at least 3 points, got {x.size}")
+    x = np.ldexp(x, -frexp(float(np.abs(x).max()))[1])
+    y = np.ldexp(y, -frexp(float(np.abs(y).max()))[1])
     # elementwise sums, not a BLAS dot, whose threads would make the last
-    # bits depend on the thread count; an overflow is caught as an inf below
-    with np.errstate(over="ignore"):
-        dx = x - x.mean()
-        dy = y - y.mean()
-        ss_x = float((dx * dx).sum())
-        ss_y = float((dy * dy).sum())
+    # bits depend on the thread count; values below 1 keep each sum of
+    # squares below 4n, so none overflows
+    dx = x - x.mean()
+    dy = y - y.mean()
+    ss_x = float((dx * dx).sum())
+    ss_y = float((dy * dy).sum())
     if ss_x == 0.0 or ss_y == 0.0:
         raise Degenerate("zero variance input")
-    if ss_x == np.inf or ss_y == np.inf:
-        raise Degenerate("variance overflows a double")
-    den = np.sqrt(ss_x * ss_y)
-    if not sys.float_info.min <= ss_x * ss_y < np.inf:  # over- or underflow
-        den = np.sqrt(ss_x) * np.sqrt(ss_y)
-    return float((dx * dy).sum() / den)
+    # with its largest magnitude at least 1/2, an input that is not
+    # constant strays at least 2**-56 from its mean: the product of the
+    # sums cannot underflow
+    return float((dx * dy).sum() / np.sqrt(ss_x * ss_y))
 
 
 def _observed_gaps(a, b):

@@ -134,6 +134,17 @@ def delete_average_linkage(n, condensed):
     return merges
 
 
+def ix_share_matrix(m, order):
+    """S_ij = M_ij / (sum_k M_ik + sum_k M_jk), 0 on the diagonal and for
+    two countries with no trade, permuted into order with np.ix_."""
+    totals = m.sum(axis=1)
+    s = np.zeros_like(m)
+    for i, j in itertools.product(range(len(m)), repeat=2):
+        if i != j and totals[i] + totals[j] > 0:
+            s[i, j] = m[i, j] / (totals[i] + totals[j])
+    return s[np.ix_(order, order)]
+
+
 def brute_cophenetic(n, merges):
     """Condensed cophenetic distances from the definition: c_ij is the
     height of the first merge, in merge order, that joins a cluster

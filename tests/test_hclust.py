@@ -55,6 +55,12 @@ random_dendrograms = st.one_of(
 ).map(hclust.average_linkage)
 
 
+def above_one(rng, count):
+    """Continuous levels that stay normal doubles at any scale 2**k with
+    |k| <= 1000."""
+    return rng.uniform(1, 10, count)
+
+
 def binary_levels(rng, count):
     return rng.integers(0, 2, count).astype(float)
 
@@ -91,6 +97,14 @@ def assert_same_tree(got, expected):
     """Merge == reads -0.0 as 0.0, so the heights are compared as bits too."""
     assert got == expected
     assert_same_bits(heights(got), heights(expected))
+
+
+def assert_scaled_tree(got, expected, k):
+    """got has expected's merges, with every height times 2**k."""
+    assert [(m.left, m.right, m.size) for m in got.merges] == [
+        (m.left, m.right, m.size) for m in expected.merges
+    ]
+    assert_same_bits(heights(got), np.ldexp(heights(expected), k))
 
 
 def scipy_cophenet(dend):
@@ -179,18 +193,41 @@ class TestAverageLinkage:
         # deterministic tie-break: (0,1) first
         assert (dend.merges[0].left, dend.merges[0].right) == (0, 1)
 
+    def test_merges_are_named_tuples(self):
+        # the benchmark reads dend.merges[k].height
+        dend = pinned_dendrogram(50, continuous)
+        assert type(dend.merges) is tuple and len(dend.merges) == 49
+        for m in dend.merges:
+            assert type(m) is hclust.Merge
+            assert [type(v) for v in m] == [int, int, float, int]
+            assert m == hclust.Merge(left=m.left, right=m.right,
+                                     height=m.height, size=m.size)
+
+    def test_index_caches_hold_one_size(self):
+        for n in range(2, 18):
+            pinned_dendrogram(n, continuous)
+        assert hclust.upper_indices.cache_info().currsize == 1
+        assert hclust.pair_index.cache_info().currsize == 1
+
     def test_too_few(self):
         with pytest.raises(errors.Degenerate, match="need at least 2 items"):
             hclust.average_linkage(hclust.CondensedDistances(1, np.zeros(0)))
 
-    def test_overflowed_update_degenerate(self):
-        # the merge of two pairs adds 2 * 8.5e307 to 2 * 8.5e307, past the
-        # largest double; the inf reaches the minimum, where the tie scan
-        # would join a cluster with itself
+    def test_huge_update_same_as_scaled(self):
+        # unscaled, the merge of two pairs would add 2 * 8.5e307 to
+        # 2 * 8.5e307, past the largest double
         d = cd([0.0] + [8.5e307] * 14)
-        with np.errstate(over="ignore"), pytest.raises(
-                errors.Degenerate, match="average-linkage update overflowed"):
-            hclust.average_linkage(d)
+        dend = hclust.average_linkage(d)
+        assert np.all(np.isfinite(heights(dend)))
+        assert_scaled_tree(hclust.average_linkage(cd(np.ldexp(d.values, -1000))),
+                           dend, -1000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(condensed_from(tie_levels), condensed_from(above_one)),
+           st.sampled_from([-1000, -1, 1, 1000]))
+    def test_power_of_two_scale(self, d, k):
+        assert_scaled_tree(hclust.average_linkage(cd(np.ldexp(d.values, k))),
+                           hclust.average_linkage(d), k)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(condensed_from(tie_levels), condensed_from(continuous)))

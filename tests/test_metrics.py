@@ -272,6 +272,18 @@ class TestOrderedShareMatrix:
         assert ordered.countries == [net.countries[i] for i in order]
         assert np.array_equal(ordered.s, base.s[np.ix_(order, order)])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_ix_oracle(self, seed):
+        m = random_net(seed, n=12).m
+        # C03 and C07 trade with no one: their pair takes the where= side
+        m[[3, 7], :] = m[:, [3, 7]] = 0.0
+        net = TradeNetwork(2000, [f"C{i:02d}" for i in range(12)], m)
+        dend = hclust.average_linkage(hclust.distances_from_network(net))
+        order = hclust.leaf_order(dend)
+        ordered = metrics.ordered_share_matrix(net, dend)
+        assert ordered.countries == [net.countries[i] for i in order]
+        assert np.array_equal(ordered.s, helpers.ix_share_matrix(m, order))
+
     def test_size_mismatch(self):
         net = random_net(0, n=5)
         dend = hclust.average_linkage(

@@ -33,10 +33,17 @@ class TestPearson:
         with pytest.raises(errors.Degenerate, match="zero variance input"):
             stats.pearson([1, 1, 1], [1, 2, 3])
 
-    def test_overflowed_variance(self):
-        with np.errstate(over="ignore"), pytest.raises(
-                errors.Degenerate, match="variance overflows a double"):
-            stats.pearson([-1e200, 0.0, 1e200], [1, 2, 4])
+    def test_squares_past_largest_double(self):
+        # unscaled, the squares of 2**700 would overflow a double
+        big = [-(2.0**700), 0.0, 2.0**700]
+        assert stats.pearson(big, [1, 2, 4]) == stats.pearson([-1, 0, 1], [1, 2, 4])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([-1000, 0, 1000]),
+           st.sampled_from([-1000, 0, 1000]))
+    def test_power_of_two_scale(self, seed, kx, ky):
+        x, y = np.random.default_rng(seed).normal(size=(2, 8))
+        assert stats.pearson(np.ldexp(x, kx), np.ldexp(y, ky)) == stats.pearson(x, y)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000))

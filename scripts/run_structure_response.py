@@ -16,12 +16,11 @@ def run_pair(seed, shock_fraction):
     cfg = ShockConfig(epicenter="C00", shock_fraction=shock_fraction)
     out = {}
     for which in ("uniform", "modular"):
-        shock = shockprop.run_to_steady(pair.state(which), cfg)
-        rec = shockprop.run_recovery(shock.final_state, 100.0, cfg)
+        shock, _, fit = shockprop.shock_and_recover(pair.state(which), cfg)
         out[which] = (
             metrics.ccc_of_network(pair.network(which)).ccc,
             shockprop.world_gdp_change(shock),
-            shockprop.fit_recovery(rec).lam,
+            fit.lam,
         )
     return out
 

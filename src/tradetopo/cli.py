@@ -118,15 +118,15 @@ def select_years(args, available):
 
 def ccc_stage(args, panel):
     """Directed flows, networks and CCC series of the selected years; each
-    year is aggregated once and a selected year without rows is skipped
-    with a warning. Raises Degenerate when no year gives a CCC value."""
-    flows = {}
+    year is aggregated once, and a year without rows or whose trade sums
+    overflow is skipped with a warning. Raises Degenerate if no CCC."""
+    flows, nets = {}, []
     for year in select_years(args, panel.years()):
         try:
             flows[year] = ingest.directed_flows(panel, year)
+            nets.append(ingest.symmetrize(year, *flows[year]))
         except Degenerate as exc:
             log.warning("%s", exc)
-    nets = [ingest.symmetrize(year, *f) for year, f in flows.items()]
     series = metrics.ccc_series(nets)
     if not series:
         raise Degenerate("no year produced a CCC value")
@@ -226,63 +226,35 @@ def _write_trace(path_stem, trace, args):
     )
 
 
-def cmd_shock(args):
+def cmd_scenario(args):
+    """shock runs run_to_steady, recover the whole shock_and_recover
+    scenario; each writes its last phase's trace, then a JSON summary."""
     panel, gdp = load_trade(args.trade), load_gdp(args.gdp)
     countries, x = ingest.directed_flows(panel, args.year)
     state = shockprop.year_state(args.year, countries, x, gdp)
     config = shock_config(args)
+    recover = args.command == "recover"
     try:
-        trace = shockprop.run_to_steady(state, config)
-    except NoConvergence as exc:
-        _write_trace(f"shock_trace_{args.year}", exc.trace, args)
-        raise
-    _write_trace(f"shock_trace_{args.year}", trace, args)
-    write_json(
-        os.path.join(args.out, f"shock_summary_{args.year}.json"),
-        {
-            "world_gdp_change": shockprop.world_gdp_change(trace),
-            "impact_ratio": shockprop.impact_ratio(trace, config.epicenter),
-            "steps": len(trace.steps),
-            "converged": trace.converged,
-        },
-    )
-    return EXIT_OK
-
-
-def _shock_and_recover(state, config):
-    """Run the full shock + recovery scenario; returns (shock trace,
-    recovery trace, recovery fit)."""
-    initial_y = state.y[state.index(config.epicenter)]
-    shock_trace = shockprop.run_to_steady(state, config)
-    recovery = shockprop.run_recovery(
-        shock_trace.final_state, float(initial_y), config
-    )
-    fit = shockprop.fit_recovery(recovery)
-    return shock_trace, recovery, fit
-
-
-def cmd_recover(args):
-    panel, gdp = load_trade(args.trade), load_gdp(args.gdp)
-    countries, x = ingest.directed_flows(panel, args.year)
-    state = shockprop.year_state(args.year, countries, x, gdp)
-    config = shock_config(args)
-    shockprop._lmdif()  # the recovery fit's scipy, loaded before any write
-    try:
-        shock_trace, recovery, fit = _shock_and_recover(state, config)
+        if recover:
+            shockprop._lmdif()  # the recovery fit's scipy, loaded before any write
+            shock, trace, fit = shockprop.shock_and_recover(state, config)
+            fitted = {"lambda": fit.lam, "a": fit.a, "y_inf": fit.y_inf}
+        else:
+            shock = trace = shockprop.run_to_steady(state, config)
+            fitted = {}
     except NoConvergence as exc:
         _write_trace(f"{exc.phase}_trace_{args.year}", exc.trace, args)
         raise
-    _write_trace(f"recovery_trace_{args.year}", recovery, args)
+    phase = "recovery" if recover else "shock"
+    _write_trace(f"{phase}_trace_{args.year}", trace, args)
     write_json(
-        os.path.join(args.out, f"recovery_summary_{args.year}.json"),
+        os.path.join(args.out, f"{phase}_summary_{args.year}.json"),
         {
-            "world_gdp_change": shockprop.world_gdp_change(shock_trace),
-            "impact_ratio": shockprop.impact_ratio(shock_trace, config.epicenter),
-            "lambda": fit.lam,
-            "a": fit.a,
-            "y_inf": fit.y_inf,
-            "steps": len(recovery.steps),
-            "converged": recovery.converged,
+            "world_gdp_change": shockprop.world_gdp_change(shock),
+            "impact_ratio": shockprop.impact_ratio(shock, config.epicenter),
+            **fitted,
+            "steps": len(trace.steps),
+            "converged": trace.converged,
         },
     )
     return EXIT_OK
@@ -320,7 +292,7 @@ def _write_fig4(args, config, flows, series, gdp):
         year = point.year
         try:
             state = shockprop.year_state(year, *flows[year], gdp)
-            shock_trace, _, fit = _shock_and_recover(state, config)
+            shock_trace, _, fit = shockprop.shock_and_recover(state, config)
         except (TradeTopoError, ValueError) as exc:
             log.warning("year %d: shock scenario skipped: %s", year, exc)
             failures.append(exc)
@@ -450,8 +422,8 @@ def build_parser():
     add("ccc-series", cmd_ccc_series, gdp, years, table_format)
     add("dendrogram", cmd_dendrogram, year, cut, table_format)
     add("share-matrix", cmd_share_matrix, year)
-    add("shock", cmd_shock, need_gdp, year, shock, table_format)
-    add("recover", cmd_recover, need_gdp, year, shock, table_format)
+    add("shock", cmd_scenario, need_gdp, year, shock, table_format)
+    add("recover", cmd_scenario, need_gdp, year, shock, table_format)
     add("recessions-test", cmd_recessions_test, need_recessions, years)
     add("pipeline", cmd_pipeline, gdp, recessions, years, shock, table_format)
     return parser

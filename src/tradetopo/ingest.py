@@ -298,9 +298,13 @@ def _key_codes(keys):
 
 def symmetrize(year, countries, x) -> TradeNetwork:
     """TradeNetwork of a directed flow matrix x over countries: M_ij =
-    X_ij + X_ji, the total bilateral trade, with a zero diagonal."""
-    m = x + x.T
+    X_ij + X_ji, the total bilateral trade, with a zero diagonal. Raises
+    Degenerate when a sum overflows."""
+    with np.errstate(over="ignore"):
+        m = x + x.T
     np.fill_diagonal(m, 0.0)
+    if not np.isfinite(m).all():
+        raise Degenerate(f"bilateral trade of year {year} overflows")
     return TradeNetwork(year=year, countries=list(countries), m=m)
 
 

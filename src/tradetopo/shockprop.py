@@ -105,7 +105,7 @@ def year_state(year, countries, x, gdp: dict) -> EconomyState:
     state = EconomyState.from_exports(countries, y, x)
     high = [c for c, pi in zip(state.countries, state.p) if pi >= 1]
     if high:
-        log.warning("export/GDP ratio >= 1 for: %s", ", ".join(high))
+        log.warning("year %d: export/GDP ratio >= 1 for: %s", year, ", ".join(high))
     return state
 
 
@@ -208,6 +208,16 @@ def run_recovery(steady: EconomyState, initial_y_epicenter: float,
     y[i] = initial_y_epicenter
     steps = [steady.y.copy(), y.copy()]
     return _iterate(steady, y, config, steps, "recovery")
+
+
+def shock_and_recover(state: EconomyState, config: ShockConfig):
+    """The fig4 scenario: run_to_steady from state, run_recovery to the
+    epicenter's GDP in state, and fit_recovery. Returns (shock trace,
+    recovery trace, RecoveryFit)."""
+    initial_y = float(state.y[state.index(config.epicenter)])
+    shock = run_to_steady(state, config)
+    recovery = run_recovery(shock.final_state, initial_y, config)
+    return shock, recovery, fit_recovery(recovery)
 
 
 def world_gdp_change(trace: SimulationTrace) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from tradetopo import cli, ingest, metrics
+from tradetopo import cli, ingest, metrics, shockprop
 
 TRADE3 = """year,reporter,partner,value_usd
 2000,AAA,BBB,3
@@ -127,6 +127,25 @@ class TestCccSeries:
         assert texts[0] == texts[1]
         assert np.isfinite(cccs[0]) and cccs[0] == cccs[1]
         assert "skipping" not in caplog.text
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_year_skipped(self, tmp_path, caplog):
+        # every row is finite, but 2000's AAA-BBB sum is not
+        trade = tmp_path / "trade.csv"
+        trade.write_text(
+            "year,reporter,partner,value_usd\n"
+            "2000,AAA,BBB,1e308\n2000,BBB,AAA,1e308\n2000,AAA,CCC,1\n"
+            "2001,AAA,BBB,4\n2001,BBB,CCC,3\n2001,AAA,CCC,1\n"
+        )
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            assert run("ccc-series", "--trade", trade, "--out", out) == 0
+        rows = (out / "ccc_series.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2001"]
+        assert "bilateral trade of year 2000 overflows" in caplog.text
+        for command in ("dendrogram", "share-matrix"):
+            assert run(command, "--trade", trade, "--year", 2000,
+                       "--out", tmp_path / command) == 3
 
     # SHA-256 of `ccc-series --gdp --format json` on tests/fixtures, recorded
     # before write_table's JSON branch was routed through write_json.
@@ -282,6 +301,63 @@ class TestRecover:
         shock_steps = self.trace_steps(shock_out / "shock_trace_2005.csv")
         recovery_steps = self.trace_steps(out / "recovery_trace_2005.csv")
         assert recovery_steps[0] == shock_steps[-1] != shock_steps[0]
+
+
+class TestScenarioGoldenBytes:
+    """SHA-256 of the shock and recover outputs on tests/fixtures, recorded
+    before the two commands shared one body and shockprop's scenario."""
+
+    TRACE = {
+        ("shock", "csv"):
+            "d154cc59074b72670057ef0a4685d1e410282a3b39db4360243e1d866f5ed207",
+        ("shock", "json"):
+            "d306e5acabda5894b97619e4673232d79d60286cf62af8dbd424f3ca26e35436",
+        ("recover", "csv"):
+            "9c6fa9da9704c412a9293ac8c648dca541c9f844f5f665a2690b7e5c0b5705ed",
+        ("recover", "json"):
+            "022ffd8d4f68e4a929cf311dc057f6e0896d85dd9f1765238ef87316fd56c17e",
+    }
+    SUMMARY = {
+        "shock":
+            "7c0aa16ff8967506ec3a566722108d8e0e178d6a83abdb7dc386024b33401127",
+        "recover":
+            "0efa1e3c68ef0893b7c0f6f1e0670ac515b2868a1b91895ebc99776fdc5e5e2c",
+    }
+    # the partial traces of TestRecover's two stalled runs
+    STALLED = {
+        (2000, 1): ("shock_trace_2000.csv",
+                    "7087b10146da08bb07a46553014819768df06e7eaa7af2fe78f37d3f29e27078"),
+        (2005, 18): ("recovery_trace_2005.csv",
+                     "8e9991d8453ea57b8399168f40fda3be7b45b2f9b36bc6836fdd030de6569dd2"),
+    }
+
+    def run_fixture(self, fixtures_dir, out, command, *options):
+        return run(command, "--trade", fixtures_dir / "trade.csv",
+                   "--gdp", fixtures_dir / "gdp.csv", *options, "--out", out)
+
+    @staticmethod
+    def digests(out):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()}
+
+    @pytest.mark.parametrize("command, table_format", TRACE)
+    def test_output_bytes(self, command, table_format, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out, command, "--year", 2003,
+                                "--format", table_format) == 0
+        phase = "shock" if command == "shock" else "recovery"
+        assert self.digests(out) == {
+            f"{phase}_trace_2003.{table_format}":
+                self.TRACE[command, table_format],
+            f"{phase}_summary_2003.json": self.SUMMARY[command],
+        }
+
+    @pytest.mark.parametrize("year, max_steps", STALLED)
+    def test_stalled_trace_bytes(self, year, max_steps, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out, "recover", "--year", year,
+                                "--max-steps", max_steps) == 4
+        assert self.digests(out) == dict([self.STALLED[year, max_steps]])
 
 
 class TestRecessionsTest:
@@ -443,9 +519,10 @@ class TestPipeline:
         count(ingest, "parse_trade_csv")
         count(ingest, "parse_gdp_csv")
         count(metrics, "ccc_series")
+        count(shockprop, "shock_and_recover")
         assert self.run_fixture(fixtures_dir, tmp_path / "out") == 0
         assert calls == {"parse_trade_csv": 1, "parse_gdp_csv": 1,
-                         "ccc_series": 1}
+                         "ccc_series": 1, "shock_and_recover": 12}
 
     def test_missing_gdp_file_writes_nothing(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"

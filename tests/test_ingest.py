@@ -171,6 +171,14 @@ def test_build_network_empty_year():
         ingest.build_network(_panel((2000, "AAA", "BBB", 3.0)), 1999)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_symmetrize_overflow_names_the_year():
+    x = np.array([[0.0, 1e308, 1.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(errors.Degenerate,
+                       match="bilateral trade of year 2000 overflows"):
+        ingest.symmetrize(2000, ["AAA", "BBB", "CCC"], x)
+
+
 codes = st.text(alphabet="ABCDEFGH", min_size=3, max_size=3)
 flow_rows = st.lists(
     st.tuples(

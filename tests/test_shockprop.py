@@ -85,6 +85,17 @@ class TestInitState:
             state_of([(2007, "USA", "WLD", 150.0)], gdp)
         assert "USA" in caplog.text
 
+    def test_high_ratio_warning_names_the_year(self, caplog):
+        gdp = {(year, c): 100.0 for year in (2006, 2007) for c in ("USA", "WLD")}
+        rows = [(2006, "WLD", "USA", 150.0), (2007, "USA", "WLD", 150.0)]
+        with caplog.at_level("WARNING"):
+            state_of(rows, gdp, year=2006)
+            state_of(rows, gdp, year=2007)
+        assert caplog.messages == [
+            "year 2006: export/GDP ratio >= 1 for: WLD",
+            "year 2007: export/GDP ratio >= 1 for: USA",
+        ]
+
 
 class TestShockConfig:
     @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -0.1, float("nan")])
@@ -540,6 +551,41 @@ class TestFitRecoveryEqualsCurveFit:
         assert proc.returncode == 0, proc.stderr
         w = 100 - 5 * np.exp(-0.3 * np.arange(21)) + 1e-3 * np.sin(np.arange(21))
         assert proc.stdout.split() == [repr(fit_tuple(w)[0]), str(imported)]
+
+
+class TestShockAndRecover:
+    """shock_and_recover is run_to_steady, run_recovery to the epicenter's
+    own pre-shock GDP, then fit_recovery, bit for bit."""
+
+    def test_equals_the_three_steps(self, fixtures_dir):
+        for st in fixture_states(fixtures_dir):
+            shock, rec, fit = shockprop.shock_and_recover(st, CFG)
+            want_shock = shockprop.run_to_steady(st, CFG)
+            want_rec = shockprop.run_recovery(
+                want_shock.final_state, float(st.y[st.index("USA")]), CFG)
+            for got, want in ((shock, want_shock), (rec, want_rec)):
+                assert got.converged and want.converged
+                assert np.array_equal(got.steps, want.steps)
+            assert fit == shockprop.fit_recovery(want_rec)
+            i = st.index("USA")
+            assert rec.steps[1][i] == st.y[i] != shock.final_state.y[i]
+
+    def test_unknown_epicenter_runs_no_step(self):
+        with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
+            with pytest.raises(errors.Degenerate, match="'CHN' not in state"):
+                shockprop.shock_and_recover(two_country_state(),
+                                            ShockConfig(epicenter="CHN"))
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("max_steps, phase", [(1, "shock"), (18, "recovery")])
+    def test_no_convergence_names_its_phase(self, max_steps, phase,
+                                            fixtures_dir):
+        # the fixture's 2005 shock converges in 18 steps, its recovery needs 19
+        st = fixture_states(fixtures_dir)[2005 - 1995]
+        cfg = ShockConfig(epicenter="USA", max_steps=max_steps)
+        with pytest.raises(errors.NoConvergence) as err:
+            shockprop.shock_and_recover(st, cfg)
+        assert err.value.phase == phase
 
 
 class TestStructureResponse:

@@ -2,7 +2,7 @@
 """Shock matched uniform/modular network pairs and tabulate how topology
 changes hierarchy (CCC), world GDP loss, and the fitted recovery rate.
 
-Usage: python3 scripts/run_structure_response.py [n_pairs] [shock_fraction]
+Usage: PYTHONPATH=src python3 scripts/run_structure_response.py [n_pairs] [shock_fraction]
 """
 
 import sys

@@ -106,11 +106,11 @@ def _parse_country(code, lineno):
     return upper
 
 
-# U8 fields, which _CODE_POINTS views as 8 code points each: a wider one is
-# truncated, so a field of 8 or more characters goes to the row parser
-_TRADE_DTYPE = [("year", "i8"), ("reporter", "U8"), ("partner", "U8"), ("value", "f8")]
-_CODE_POINTS = np.dtype({"names": ["reporter", "partner"], "formats": [("=u4", 8)] * 2,
-                         "offsets": [8, 40], "itemsize": 80})
+# U4 fields, which _CODE_POINTS views as 4 code points each: a wider one is
+# truncated, so its 4th point is nonzero and it goes to the row parser
+_TRADE_DTYPE = [("year", "i8"), ("reporter", "U4"), ("partner", "U4"), ("value", "f8")]
+_CODE_POINTS = np.dtype({"names": ["reporter", "partner"], "formats": [("=u4", 4)] * 2,
+                         "offsets": [8, 24], "itemsize": 48})
 
 
 def parse_trade_csv(stream) -> TradePanel:
@@ -159,23 +159,14 @@ def _read_trade_columns(stream):
 
 
 def _country_codes(table, field):
-    """_parse_country on a U8 column as <U3, or None if a code is bad; three
-    ASCII letters skip np.char, upper-cased by clearing bit 5 of each."""
+    """_parse_country on a U4 column as <U3, or None unless every code is
+    three ASCII letters and nothing else; each is upper-cased by clearing
+    bit 5 of its letters."""
     points = table.view(_CODE_POINTS)[field]
-    if not points[:, 3:].any():
-        upper = points[:, :3] & ~np.uint32(0x20)
-        if (upper - ord("A") < 26).all():
-            return upper.view("U3").ravel()
-    if (np.char.str_len(table[field]) >= 8).any():
+    upper = points[:, :3] & ~np.uint32(0x20)
+    if points[:, 3].any() or not (upper - ord("A") < 26).all():
         return None
-    codes = np.char.strip(table[field])
-    # str.upper runs per element, so only on the codes it changes
-    lower = ~np.char.isupper(codes)
-    if lower.any():
-        codes[lower] = np.char.upper(codes[lower])
-    if not ((np.char.str_len(codes) == 3).all() and np.char.isalpha(codes).all()):
-        return None
-    return codes.astype("U3")
+    return upper.view("U3").ravel()
 
 
 def _trade_panel(year, reporter, partner, value):

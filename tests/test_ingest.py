@@ -333,9 +333,11 @@ FALLBACK_ERRORS = {
     "comment_is_data": ("1969,USA,CAN,5 # c\n", "could not convert string to float", 2),
     # loadtxt skips blank lines without counting them
     "blank_line_before_bad_row": ("\n\r\n1969,USA,CAN,-3\n", "negative trade value", 4),
-    # a U8 field truncates "USA      X" to "USA     "
+    # a U4 field truncates "USA      X" to "USA "
     "wide_code_field": ("1969,USA      X,CAN,5\n", "bad country code 'USA      X'", 2),
-    # a U8 field drops trailing NULs
+    # "USAX" fits a U4 field whole: its 4th point alone rejects it
+    "four_letter_code": ("1969,USAX,CAN,5\n", "bad country code 'USAX'", 2),
+    # a U4 field drops trailing NULs
     "code_with_nul": ("1969,USA\0,CAN,5\n", "bad country code 'USA\\x00'", 2),
     # the NUL scan reads the text in 1 MiB chunks; this NUL is past the first
     "code_with_nul_after_first_chunk": (
@@ -361,6 +363,11 @@ FALLBACK_ROWS = {
     "underscore_value": ("1969,USA,CAN,1_000\n", [(1969, "USA", "CAN", 1000.0)]),
     "year_beyond_int64": ("10" + "0" * 22 + ",USA,CAN,5\n", [(10**23, "USA", "CAN", 5.0)]),
     "code_padded_to_eight": ("1969,USA     ,CAN,5\n", [(1969, "USA", "CAN", 5.0)]),
+    "code_with_trailing_space": ("1969,USA ,CAN,5\n", [(1969, "USA", "CAN", 5.0)]),
+    "padded_code": ("+1969, usa ,Can, 1e5 \n1970,can,usa,.5\n1970,usa,usa,-0\n",
+                    [(1969, "USA", "CAN", 1e5), (1970, "CAN", "USA", 0.5)]),
+    # not ASCII letters: upper-cased by str.upper, not by code point
+    "non_ascii": ("1969,ÄÖÜ,Ωab,5\n", [(1969, "ÄÖÜ", "ΩAB", 5.0)]),
     "header_only": ("", []),
     "blank_lines_only": ("\n\r\n\n", []),
 }
@@ -378,11 +385,9 @@ def test_parse_trade_fallback_rows(case):
 @pytest.mark.parametrize("body,rows", [
     ("1969,USA,CAN,8100000000\n1970,CAN,USA,2.5\r\n\n1970,CAN,CAN,1\n",
      [(1969, "USA", "CAN", 8.1e9), (1970, "CAN", "USA", 2.5)]),
-    ("+1969, usa ,Can, 1e5 \n1970,can,usa,.5\n1970,usa,usa,-0\n",
+    ("+1969,usa,Can, 1e5\n1970,can,usa,.5\n1970,usa,usa,-0\n",
      [(1969, "USA", "CAN", 1e5), (1970, "CAN", "USA", 0.5)]),
-    # not ASCII letters: upper-cased by np.char, not by code point
-    ("1969,ÄÖÜ,Ωab,5\n", [(1969, "ÄÖÜ", "ΩAB", 5.0)]),
-], ids=["upper_case", "mixed_case", "non_ascii"])
+], ids=["upper_case", "mixed_case"])
 def test_parse_trade_clean_csv_skips_row_parser(body, rows, monkeypatch):
     def row_parser(stream):
         raise AssertionError("clean CSV fell back to the row parser")
@@ -404,11 +409,8 @@ def _edited_row(row):
 
 
 csv_years = st.integers(1999, 2001).map(str)
-csv_codes = st.tuples(
-    st.sampled_from(["", " ", "\t"]),
-    st.sampled_from(["USA", "CAN", "usa", "Mex"]),
-    st.sampled_from(["", " ", "   "]),
-).map("".join)
+# padded codes go to the row parser, so they are among the edits below
+csv_codes = st.sampled_from(["USA", "CAN", "usa", "Mex"])
 csv_fields = st.tuples(csv_years, csv_codes, csv_codes,
                        st.floats(0, 1e12, allow_nan=False).map(repr))
 clean_lines = st.one_of(csv_fields.map(",".join), st.just(""))
@@ -420,6 +422,9 @@ EDITS = (
                               "ßab", "USA\0", ""]]
     # next to the code-point ranges A..Z and a..z, and a letter above them
     + [(i, text) for i in (1, 2) for text in ["U@A", "U[A", "U`A", "U{A", "ÉUA"]]
+    # a 4th character: a padded code parses, but only through the row parser
+    + [(i, text) for i in (1, 2)
+       for text in ["USAX", "USA ", " USA", "\tusa", " Mex   "]]
     + [(2, text) for text in ['"CAN"', "CANADA", "can\x85"]]
     + [(3, text) for text in ["1_000", ".5", "+5", "1e5", "nan", "inf", "1e400",
                               "-3", "-0", "5 # c", '"5"', "", "abc", None]]

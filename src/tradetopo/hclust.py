@@ -30,6 +30,14 @@ def upper_indices(n):
 
 
 @lru_cache(maxsize=1)
+def _upper_positions(n):
+    """Flat positions i*n + j of the upper_indices(n) pairs; read-only."""
+    flat = np.ravel_multi_index(upper_indices(n), (n, n))
+    flat.flags.writeable = False
+    return flat
+
+
+@lru_cache(maxsize=1)
 def pair_index(n):
     """n x n table of the condensed position of pair {s, k}; the diagonal
     points one past the last pair. Shared and read-only."""
@@ -57,7 +65,7 @@ class CondensedDistances:
                 f"expected {expected} condensed entries for n={self.n}, "
                 f"got {values.shape}"
             )
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
+        if not (values.min(initial=0.0) >= 0 and values.max(initial=0.0) < math.inf):
             raise ValueError("distances must be finite and nonnegative")
 
     def as_square(self) -> np.ndarray:
@@ -91,8 +99,8 @@ def distances_from_network(net) -> CondensedDistances:
     n = net.n
     if n < 2:
         raise Degenerate(f"need at least 2 countries, got {n}")
-    upper = net.m[upper_indices(n)]
-    return CondensedDistances(n=n, values=upper.max() - upper)
+    upper = net.m.ravel().take(_upper_positions(n))
+    return CondensedDistances(n=n, values=np.subtract(upper.max(), upper, out=upper))
 
 
 def average_linkage(d: CondensedDistances) -> Dendrogram:
@@ -118,23 +126,23 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     e = math.frexp(float(d.values.max()))[1]
     # adding 0.0 turns -0.0 into 0.0, so no zero height takes its sign
     # from whichever of two equal zeros a scan meets first
-    f = np.ldexp(np.append(d.values, np.inf), -e)
-    f += 0.0
+    f = np.append(d.values, np.inf)  # the one working copy
+    np.add(np.ldexp(f, -e, out=f), 0.0, out=f)
     index = pair_index(n)
     rows, cols = upper_indices(n)
     ids = list(range(n))  # node id of each slot
-    sizes = [1] * n
+    sizes = [1.0] * n  # floats: the update multiplies float64 rows by them
     merges = []
     # distances below 1 keep every update below n: none overflows
     for first in range(n - 1):
         start = first * (2 * n - first - 1) // 2
         live = f[start:]  # the live pairs, then the spare: rest is never empty
-        p = int(live.argmin())
-        height = float(live[p])
+        p = live.argmin().item()
+        height = live.item(p)
         # argmin returns the first of equal minima: a tie lies past p
         rest = live[p + 1 :]
         if rest[rest.argmin()] != height:
-            a, b = int(rows[start + p]), int(cols[start + p])
+            a, b = rows.item(start + p), cols.item(start + p)
             left, right = min(ids[a], ids[b]), max(ids[a], ids[b])
         else:
             hits = (live == height).nonzero()[0] + start
@@ -147,19 +155,20 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
             a, b = int(ends[t]), int(others[t])
         new_size = sizes[a] + sizes[b]
         # row k - first: the merged cluster's distance to slot k
-        row = f[index[a, first:]]
-        row *= sizes[a]
-        row += f[index[b, first:]] * sizes[b]
+        ia, ib = index[a, first:], index[b, first:]
+        # a product by a size of 1.0 would change no bit, so it is skipped
+        row = f[ia] if sizes[a] == 1.0 else f[ia] * sizes[a]
+        row += f[ib] if sizes[b] == 1.0 else f[ib] * sizes[b]
         row /= new_size
         if a == first:  # the merged cluster keeps slot b, first is freed
-            a, b = b, a
-        f[index[a, first:]] = row
+            a, b, ia, ib = b, a, ib, ia
+        f[ia] = row
         if b != first:
-            f[index[b, first + 1 :]] = f[index[first, first + 1 :]]
+            f[ib[1:]] = f[index[first, first + 1 :]]
             ids[b], sizes[b] = ids[first], sizes[first]
             f[-1] = np.inf  # the move wrote pair (first, b) there
         ids[a], sizes[a] = n + first, new_size
-        merges.append((left, right, math.ldexp(height, e), new_size))
+        merges.append((left, right, math.ldexp(height, e), int(new_size)))
     return Dendrogram(n_leaves=n, merges=tuple(map(Merge._make, merges)))
 
 
@@ -176,16 +185,16 @@ def cophenetic(dend: Dendrogram) -> CondensedDistances:
     n = dend.n_leaves
     sizes = [1] * n + [m.size for m in dend.merges]
     start = [0] * (2 * n - 1)
-    sq = np.zeros((n, n))
+    sq = np.empty((n, n))  # only the blocks above the diagonal are read
     for node, first, second in reversed(list(_merges_in_order(dend))):
         a = start[first] = start[node]
         b = start[second] = a + sizes[first]
         sq[a:b, b : b + sizes[second]] = dend.merges[node - n].height
-    pos = np.array(start[:n])  # a leaf's run starts at its position
-    rows, cols = upper_indices(n)
-    p, q = pos[rows], pos[cols]
-    values = sq.ravel().take(np.minimum(p, q) * n + np.maximum(p, q))
-    return CondensedDistances(n=n, values=values)
+    p, q = map(np.array(start[:n]).take, upper_indices(n))  # leaf positions
+    index = np.minimum(p, q)
+    index *= n
+    index += np.maximum(p, q, out=p)
+    return CondensedDistances(n=n, values=sq.ravel().take(index))
 
 
 def _merges_in_order(dend: Dendrogram):

@@ -180,11 +180,12 @@ def _trade_panel(year, reporter, partner, value):
 
 
 def _parse_trade_rows(stream) -> TradePanel:
-    """parse_trade_csv one csv row at a time."""
+    """parse_trade_csv row by row, parsing each distinct year or code text once."""
     years, reporters, partners, values = [], [], [], []
+    year_of, codes = {}, {}
     for lineno, row in _csv_rows(stream, TRADE_HEADER, "trade"):
         try:
-            year = int(row[0])
+            year = year_of.get(row[0]) or year_of.setdefault(row[0], int(row[0]))
             value = float(row[3])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
@@ -193,8 +194,8 @@ def _parse_trade_rows(stream) -> TradePanel:
         if value < 0:
             raise ParseError(f"negative trade value {value}", line=lineno)
         years.append(year)
-        reporters.append(_parse_country(row[1], lineno))
-        partners.append(_parse_country(row[2], lineno))
+        for out, key in ((reporters, row[1]), (partners, row[2])):
+            out.append(codes.get(key) or codes.setdefault(key, _parse_country(key, lineno)))
         values.append(value)
     try:
         year = np.array(years, dtype=np.int64)

@@ -45,8 +45,9 @@ def ccc(d: hclust.CondensedDistances, c: hclust.CondensedDistances) -> float:
     if t.size:
         tied = np.union1d(t, t + 1)
         order[tied] = order[tied[np.lexsort((c.values[order[tied]], dv[tied]))]]
-    # fancy indexing gives contiguous arrays: strides could change the last bits
-    return stats.pearson(d.values[order], c.values[order])
+    # in a tie run dv can differ from d.values[order] only in the sign of a
+    # zero, which centring erases; gathers, not strided views, fix the last bits
+    return stats.pearson(dv, c.values[order])
 
 
 def ccc_of_network(net) -> CccPoint:
@@ -74,8 +75,10 @@ def share_matrix(net) -> ShareMatrix:
     """S_ij = M_ij / (sum_m M_im + sum_n M_jn); fully isolated pairs map
     to share 0."""
     totals = net.m.sum(axis=1)
-    denom = totals[:, None] + totals[None, :]
-    s = np.divide(net.m, denom, out=np.zeros_like(denom), where=denom > 0)
+    s = np.add.outer(totals, totals)  # the denominators, then the shares
+    keep = s > 0
+    np.divide(net.m, s, out=s, where=keep)
+    np.copyto(s, 0.0, where=~keep)
     np.fill_diagonal(s, 0.0)
     return ShareMatrix(countries=list(net.countries), s=s)
 
@@ -96,7 +99,7 @@ def ordered_share_matrix(net, dend: hclust.Dendrogram) -> ShareMatrix:
 
 def total_trade(net) -> float:
     """Sum of the symmetrized matrix over unordered pairs."""
-    return float(net.m[hclust.upper_indices(net.n)].sum())
+    return float(net.m.ravel().take(hclust._upper_positions(net.n)).sum())
 
 
 def trade_gdp_ratio(net, gdp: dict) -> float:

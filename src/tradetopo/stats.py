@@ -37,21 +37,23 @@ def pearson(x, y) -> float:
         raise Degenerate(f"lengths differ: {x.shape} vs {y.shape}")
     if x.size < 3:
         raise Degenerate(f"need at least 3 points, got {x.size}")
-    x = np.ldexp(x, -frexp(float(np.abs(x).max()))[1])
-    y = np.ldexp(y, -frexp(float(np.abs(y).max()))[1])
-    # elementwise sums, not a BLAS dot, whose threads would make the last
-    # bits depend on the thread count; values below 1 keep each sum of
-    # squares below 4n, so none overflows
-    dx = x - x.mean()
-    dy = y - y.mean()
-    ss_x = float((dx * dx).sum())
-    ss_y = float((dy * dy).sum())
+    # ldexp makes fresh arrays, so centring in place never writes the inputs;
+    # max(v.max(), -v.min()) is v's largest magnitude, or NaN. Elementwise sums,
+    # not a BLAS dot, whose threads would make the last bits depend on the
+    # thread count; values below 1 keep each sum of squares below 4n
+    x = np.ldexp(x, -frexp(max(x.max(), -x.min()))[1])
+    y = np.ldexp(y, -frexp(max(y.max(), -y.min()))[1])
+    x -= x.mean()
+    y -= y.mean()
+    t = x * x
+    ss_x = float(t.sum())
+    ss_y = float(np.multiply(y, y, out=t).sum())
     if ss_x == 0.0 or ss_y == 0.0:
         raise Degenerate("zero variance input")
     # with its largest magnitude at least 1/2, an input that is not
     # constant strays at least 2**-56 from its mean: the product of the
     # sums cannot underflow
-    return float((dx * dy).sum() / np.sqrt(ss_x * ss_y))
+    return float(np.multiply(x, y, out=t).sum() / np.sqrt(ss_x * ss_y))
 
 
 def _observed_gaps(a, b):

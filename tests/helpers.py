@@ -145,6 +145,16 @@ def ix_share_matrix(m, order):
     return s[np.ix_(order, order)]
 
 
+def where_share_matrix(m):
+    """S_ij = M_ij / (sum_k M_ik + sum_k M_jk) wherever that denominator
+    is positive, else 0, with a zero diagonal, through np.divide(where=)."""
+    totals = m.sum(axis=1)
+    denom = totals[:, None] + totals[None, :]
+    s = np.divide(m, denom, out=np.zeros_like(denom), where=denom > 0)
+    np.fill_diagonal(s, 0.0)
+    return s
+
+
 def brute_cophenetic(n, merges):
     """Condensed cophenetic distances from the definition: c_ij is the
     height of the first merge, in merge order, that joins a cluster

@@ -133,6 +133,18 @@ class TestCondensedDistances:
         with pytest.raises(errors.Degenerate, match="expected 6 condensed entries"):
             hclust.CondensedDistances(n=4, values=np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_rejects_negative_and_nonfinite(self, bad, at):
+        values = np.array([1.0, 3.0, 2.0])
+        values[at] = bad
+        with pytest.raises(ValueError, match="^distances must be finite and nonnegative$"):
+            hclust.CondensedDistances(n=3, values=values)
+
+    def test_accepts_signed_zeros(self):
+        values = np.array([0.0, -0.0, 2.0])
+        assert hclust.CondensedDistances(n=3, values=values).values is values
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(condensed_from(tie_levels), condensed_from(continuous)))
     def test_as_square_equals_scipy(self, d):
@@ -167,6 +179,16 @@ class TestDistancesFromNetwork:
         net = TradeNetwork(2000, ["AAA"], np.zeros((1, 1)))
         with pytest.raises(errors.Degenerate, match="need at least 2 countries"):
             hclust.distances_from_network(net)
+
+    def test_memory_layout(self):
+        # not symmetric, so reading a lower-triangle entry shows
+        a = np.random.default_rng(7).uniform(1, 9, size=(9, 9))
+        upper = a[np.triu_indices(9, k=1)]
+        want = (upper.max() - upper).tobytes()
+        codes = [f"C{i:02d}" for i in range(9)]
+        for m in (a, np.asfortranarray(a), np.ascontiguousarray(a.T).T):
+            d = hclust.distances_from_network(TradeNetwork(2000, codes, m))
+            assert d.values.tobytes() == want
 
     def test_minimum_is_zero(self):
         rng = np.random.default_rng(3)

@@ -382,6 +382,25 @@ def test_parse_trade_fallback_rows(case):
     assert columns(panel) == rows
 
 
+def test_row_parser_reads_repeated_code_texts_alike():
+    # padded fields send the body to the row parser, which parses each
+    # distinct text once: every later row holding it must read the same
+    body = "".join(f"{1969 + k},{code},CAN,{k}\n"
+                   for k, code in enumerate([" usa", "USA", "Usa ", " usa", "Usa "]))
+    panel = ingest.parse_trade_csv(TRADE_HEADER + body)
+    assert columns(panel) == [(1969 + k, "USA", "CAN", float(k)) for k in range(5)]
+
+
+@pytest.mark.parametrize("body,line", [
+    ("1969, usa,CAN,1\n1970, usa,C4N,2\n", 3),
+    ("1969, usa,CAN,1\n1970,CAN, usa,2\n1971, usa,USA ,3\n1972, usa,USAX,4\n", 5),
+], ids=["after_one_row", "after_its_texts"])
+def test_row_parser_bad_code_after_valid_keeps_its_line(body, line):
+    with pytest.raises(errors.ParseError, match=f"^line {line}: bad country code") as err:
+        ingest.parse_trade_csv(TRADE_HEADER + body)
+    assert err.value.line == line
+
+
 @pytest.mark.parametrize("body,rows", [
     ("1969,USA,CAN,8100000000\n1970,CAN,USA,2.5\r\n\n1970,CAN,CAN,1\n",
      [(1969, "USA", "CAN", 8.1e9), (1970, "CAN", "USA", 2.5)]),

@@ -119,6 +119,15 @@ class TestCccOrder:
         c = cd(rng.integers(0, 5, d.values.size).astype(float))
         assert metrics.ccc(d, c) == helpers.lexsort_ccc(d.values, c.values)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_lexsort_oracle_signed_zero_ties(self, seed):
+        # the run of zero d mixes -0.0 and 0.0, which sort as equal
+        rng = np.random.default_rng(seed)
+        d = rng.integers(0, 3, 190).astype(float)
+        d[d == 0] = rng.choice([-0.0, 0.0], size=np.count_nonzero(d == 0))
+        c = cd(rng.integers(0, 5, 190).astype(float))
+        assert metrics.ccc(cd(d), c) == helpers.lexsort_ccc(d, c.values)
+
     @pytest.mark.parametrize("odd", [0.0, 2.0])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_lexsort_oracle_all_but_one_tied(self, odd, seed):
@@ -260,6 +269,23 @@ class TestShareMatrix:
         net = net_from_upper([5.0, 2.0, 1.0])
         share = metrics.share_matrix(net)
         assert share.s[0, 1] == pytest.approx(5.0 / ((5 + 2) + (5 + 1)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("negative", [False, True], ids=["zero_row", "negative"])
+    def test_matches_where_oracle(self, seed, negative):
+        rng = np.random.default_rng(seed)
+        if negative:
+            # hand-built: some denominators are 0 or negative under nonzero trade
+            m = rng.integers(-3, 4, size=(10, 10)).astype(float)
+            m += m.T
+            np.fill_diagonal(m, 0.0)
+        else:
+            m = random_net(seed, n=10).m
+        # C04 and C07 trade with no one: their pair's denominator is 0
+        m[[4, 7], :] = m[:, [4, 7]] = 0.0
+        net = TradeNetwork(2000, [f"C{i:02d}" for i in range(10)], m)
+        share = metrics.share_matrix(net)
+        assert share.s.tobytes() == helpers.where_share_matrix(m).tobytes()
 
 
 class TestOrderedShareMatrix:

@@ -38,6 +38,23 @@ class TestPearson:
         big = [-(2.0**700), 0.0, 2.0**700]
         assert stats.pearson(big, [1, 2, 4]) == stats.pearson([-1, 0, 1], [1, 2, 4])
 
+    @pytest.mark.parametrize("same", [False, True], ids=["two_arrays", "one_array"])
+    def test_inputs_unchanged(self, same):
+        rng = np.random.default_rng(4)
+        x = 3.0 * rng.normal(size=40) + 5.0
+        y = x if same else rng.normal(size=40) - 2.0
+        kept = x.tobytes(), y.tobytes()
+        stats.pearson(x, y)
+        assert (x.tobytes(), y.tobytes()) == kept
+
+    def test_strided_views_unchanged(self):
+        base = np.random.default_rng(5).normal(size=(2, 60)) + 1.0
+        kept = base.tobytes()
+        x, y = base[0, ::3], base[1, 1::3]
+        r = stats.pearson(x, y)
+        assert base.tobytes() == kept
+        assert r == stats.pearson(x.copy(), y.copy())
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([-1000, 0, 1000]),
            st.sampled_from([-1000, 0, 1000]))

@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 
 from .errors import Degenerate, MissingGdp, NoConvergence, ParseError, TradeTopoError
 
@@ -51,11 +50,15 @@ def round12(value: float) -> float:
 
 
 def atomic_write(path, text):
+    """Write text as UTF-8, whatever the locale, through a temp file in
+    path's directory and one rename. The temp file is created with mode
+    0666 less the umask, as open() creates a file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

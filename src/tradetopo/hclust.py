@@ -18,34 +18,27 @@ from .errors import Degenerate
 NEWICK_METACHARS = set("(),:;")
 
 
+class PairTables(NamedTuple):
+    rows: np.ndarray
+    cols: np.ndarray
+    flat: np.ndarray
+    index: np.ndarray
+
+
 # one size cached: each stage works on one year's n at a time
 @lru_cache(maxsize=1)
-def upper_indices(n):
-    """Row and column indices of the pairs i < j of an n x n matrix, in
-    condensed (row-major) order; shared and read-only."""
-    iu = np.triu_indices(n, k=1)
-    for a in iu:
-        a.flags.writeable = False
-    return iu
-
-
-@lru_cache(maxsize=1)
-def _upper_positions(n):
-    """Flat positions i*n + j of the upper_indices(n) pairs; read-only."""
-    flat = np.ravel_multi_index(upper_indices(n), (n, n))
-    flat.flags.writeable = False
-    return flat
-
-
-@lru_cache(maxsize=1)
-def pair_index(n):
-    """n x n table of the condensed position of pair {s, k}; the diagonal
-    points one past the last pair. Shared and read-only."""
-    rows, cols = upper_indices(n)
+def pair_tables(n) -> PairTables:
+    """The pairs i < j of an n x n matrix in condensed (row-major) order:
+    their rows, their columns, their flat positions i*n + j, and the n x n
+    table of the condensed position of pair {i, j}, whose diagonal points
+    one past the last pair. Shared and read-only."""
+    rows, cols = np.triu_indices(n, k=1)
     index = np.full((n, n), rows.size)
     index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-    index.flags.writeable = False
-    return index
+    tables = PairTables(rows, cols, rows * n + cols, index)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
@@ -67,13 +60,6 @@ class CondensedDistances:
             )
         if not (values.min(initial=0.0) >= 0 and values.max(initial=0.0) < math.inf):
             raise ValueError("distances must be finite and nonnegative")
-
-    def as_square(self) -> np.ndarray:
-        rows, cols = upper_indices(self.n)
-        sq = np.zeros((self.n, self.n))
-        sq[rows, cols] = self.values
-        sq[cols, rows] = self.values
-        return sq
 
 
 class Merge(NamedTuple):
@@ -99,7 +85,7 @@ def distances_from_network(net) -> CondensedDistances:
     n = net.n
     if n < 2:
         raise Degenerate(f"need at least 2 countries, got {n}")
-    upper = net.m.ravel().take(_upper_positions(n))
+    upper = net.m.ravel().take(pair_tables(n).flat)
     return CondensedDistances(n=n, values=np.subtract(upper.max(), upper, out=upper))
 
 
@@ -108,7 +94,7 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     update; ties broken on the lexicographically smallest id pair.
 
     The distances live in a copy f of the condensed vector, with one
-    spare inf entry at the end that pair_index gives for the diagonal.
+    spare inf entry at the end that the pair index gives for the diagonal.
     The active clusters occupy slots first..n-1, one each, so their pairs
     are exactly the suffix of f that starts at pair (first, first + 1),
     and one argmin over it finds the merge. A second argmin past that hit
@@ -128,8 +114,7 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     # from whichever of two equal zeros a scan meets first
     f = np.append(d.values, np.inf)  # the one working copy
     np.add(np.ldexp(f, -e, out=f), 0.0, out=f)
-    index = pair_index(n)
-    rows, cols = upper_indices(n)
+    rows, cols, _, index = pair_tables(n)
     ids = list(range(n))  # node id of each slot
     sizes = [1.0] * n  # floats: the update multiplies float64 rows by them
     merges = []
@@ -190,7 +175,7 @@ def cophenetic(dend: Dendrogram) -> CondensedDistances:
         a = start[first] = start[node]
         b = start[second] = a + sizes[first]
         sq[a:b, b : b + sizes[second]] = dend.merges[node - n].height
-    p, q = map(np.array(start[:n]).take, upper_indices(n))  # leaf positions
+    p, q = map(np.array(start[:n]).take, pair_tables(n)[:2])  # leaf positions
     index = np.minimum(p, q)
     index *= n
     index += np.maximum(p, q, out=p)

@@ -99,7 +99,7 @@ def ordered_share_matrix(net, dend: hclust.Dendrogram) -> ShareMatrix:
 
 def total_trade(net) -> float:
     """Sum of the symmetrized matrix over unordered pairs."""
-    return float(net.m.ravel().take(hclust._upper_positions(net.n)).sum())
+    return float(net.m.ravel().take(hclust.pair_tables(net.n).flat).sum())
 
 
 def trade_gdp_ratio(net, gdp: dict) -> float:

@@ -19,7 +19,7 @@ import importlib.util
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,14 +109,6 @@ def year_state(year, countries, x, gdp: dict) -> EconomyState:
     return state
 
 
-def apply_shock(state: EconomyState, config: ShockConfig) -> EconomyState:
-    """Scale the epicenter's GDP down by the shock fraction."""
-    i = state.index(config.epicenter)
-    y = state.y.copy()
-    y[i] *= 1.0 - config.shock_fraction
-    return replace(state, y=y)
-
-
 def step(x, ex, y_prev, y, p):
     """Advance one step from X(t-1) with row sums ex, Y(t-1) and Y(t);
     return X(t), its row sums, Y(t+1) and the max relative change
@@ -155,16 +147,21 @@ def step(x, ex, y_prev, y, p):
     return x_t, ex_t, y_next, delta
 
 
-def _iterate(prev: EconomyState, y: np.ndarray, config: ShockConfig,
-             steps: list[np.ndarray], phase: str) -> SimulationTrace:
-    """Iterate from prev, which holds X(t-1) and Y(t-1), and Y(t) = y,
-    one step call per step, until the max relative change |Y(t+1) -
-    Y(t)| / Y(t) that step returns is below the tolerance; the final
-    state holds the last X(t) and Y(t+1). NoConvergence reports the last
-    step's change. Y(t) must be finite and > 0 on entry, as step needs;
-    every later Y(t) is a Y(t+1) that passed step's domain check."""
+def _iterate(prev: EconomyState, i: int, y_i: float, config: ShockConfig,
+             phase: str) -> SimulationTrace:
+    """Set country i's GDP to y_i in a copy of prev.y, which gives Y(t),
+    and iterate from prev, which holds X(t-1) and Y(t-1), one step call
+    per step, until the max relative change |Y(t+1) - Y(t)| / Y(t) that
+    step returns is below the tolerance; the trace starts with Y(t-1) and
+    Y(t), and the final state holds the last X(t) and Y(t+1). NoConvergence
+    reports the last step's change. Y(t) must be finite and > 0 on entry,
+    as step needs; every later Y(t) is a Y(t+1) that passed step's domain
+    check."""
+    y = prev.y.copy()
+    y[i] = y_i
     if not (np.minimum.reduce(y) > 0 and np.maximum.reduce(y) < np.inf):
         raise Degenerate("GDP is not finite and > 0 at the start")
+    steps = [prev.y.copy(), y.copy()]
     x, y_prev, p = prev.x, prev.y, prev.p
     ex = np.add.reduce(x, 1)
     tol = config.tolerance
@@ -194,20 +191,17 @@ def run_to_steady(initial: EconomyState, config: ShockConfig) -> SimulationTrace
     The trace records every step, including t=0 (pre-shock) and t=1
     (post-shock, before any propagation).
     """
-    shocked = apply_shock(initial, config)
-    steps = [initial.y.copy(), shocked.y.copy()]
-    return _iterate(initial, shocked.y, config, steps, "shock")
+    i = initial.index(config.epicenter)
+    return _iterate(initial, i, initial.y[i] * (1.0 - config.shock_fraction),
+                    config, "shock")
 
 
 def run_recovery(steady: EconomyState, initial_y_epicenter: float,
                  config: ShockConfig) -> SimulationTrace:
     """Restore the epicenter's GDP to its pre-shock value and iterate the
     same dynamics until the world recovers to a steady state."""
-    i = steady.index(config.epicenter)
-    y = steady.y.copy()
-    y[i] = initial_y_epicenter
-    steps = [steady.y.copy(), y.copy()]
-    return _iterate(steady, y, config, steps, "recovery")
+    return _iterate(steady, steady.index(config.epicenter),
+                    initial_y_epicenter, config, "recovery")
 
 
 def shock_and_recover(state: EconomyState, config: ShockConfig):

@@ -61,6 +61,8 @@ def test_02_ultrametric_reconstruction():
 
 
 def test_03_monotone_heights_and_ultrametricity():
+    from scipy.spatial.distance import squareform
+
     rng = np.random.default_rng(3)
     t0 = time.perf_counter()
     ok = True
@@ -70,7 +72,7 @@ def test_03_monotone_heights_and_ultrametricity():
         dend = hclust.average_linkage(CondensedDistances(n=n, values=values))
         heights = [m.height for m in dend.merges]
         ok &= all(a <= b + 1e-12 for a, b in zip(heights, heights[1:]))
-        c = hclust.cophenetic(dend).as_square()
+        c = squareform(hclust.cophenetic(dend).values)
         for j in range(n):
             bound = np.maximum(c[:, j][:, None], c[j, :][None, :])
             ok &= bool(np.all(c <= bound + 1e-12))

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -756,6 +758,10 @@ class TestExitCodes:
                    "--years", "1996:1996", "--out", out) == 0
         rows = (out / "ccc_series.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows] == ["year", "1996"]
+        assert run("ccc-series", "--trade", fixtures_dir / "trade.csv",
+                   "--year", "1996", "--out", tmp_path / "one") == 0
+        assert ((tmp_path / "one" / "ccc_series.csv").read_bytes()
+                == (out / "ccc_series.csv").read_bytes())
 
     @pytest.mark.parametrize("argv", [
         ["share-matrix", "--year", "2000", "--format", "json"],
@@ -814,6 +820,53 @@ class TestByteOrderMark:
         assert names and sorted(p.name for p in outs["bom"].iterdir()) == names
         for n in names:
             assert (outs["bom"] / n).read_bytes() == (outs["plain"] / n).read_bytes()
+
+
+class TestAtomicWrite:
+    def test_non_ascii_codes_under_an_ascii_locale(self, tmp_path, package_env):
+        trade = tmp_path / "trade.csv"
+        trade.write_text(TRADE3.replace("AAA", "ÅLA"), encoding="utf-8")
+        outs = []
+        for name, locale in [
+            ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+            ("utf8", {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}),
+        ]:
+            outs.append(tmp_path / name)
+            proc = subprocess.run(
+                [sys.executable, "-m", "tradetopo.cli", "dendrogram",
+                 "--trade", str(trade), "--year", "2000", "--out", str(outs[-1])],
+                env={**package_env, **locale}, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert names == ["clusters_2000.csv", "tree_2000.nwk"]
+        assert sorted(p.name for p in outs[0].iterdir()) == names
+        for n in names:
+            assert (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
+        assert "ÅLA".encode() in (outs[0] / "tree_2000.nwk").read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_outputs_follow_the_umask(self, umask, mode, small_inputs, tmp_path):
+        trade, _ = small_inputs
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            assert run("ccc-series", "--trade", trade, "--out", out) == 0
+            assert run("dendrogram", "--trade", trade, "--year", 2000,
+                       "--out", out) == 0
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == dict.fromkeys(
+            ["ccc_series.csv", "clusters_2000.csv", "tree_2000.nwk"], mode)
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="^rename failed$"):
+            cli.atomic_write(tmp_path / "out.csv", "year\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHelp:

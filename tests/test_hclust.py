@@ -72,7 +72,7 @@ def gravity_chain(n, levels=None):
     the distances are floored to that many integer levels."""
     rng = np.random.default_rng(n)
     g = rng.lognormal(0.0, 1.5, n)
-    rows, cols = hclust.upper_indices(n)
+    rows, cols = hclust.pair_tables(n)[:2]
     m = g[rows] * g[cols] * rng.lognormal(0.0, 0.3, rows.size)
     d = m.max() - m
     return cd(d if levels is None else np.floor(d / d.max() * levels))
@@ -145,21 +145,24 @@ class TestCondensedDistances:
         values = np.array([0.0, -0.0, 2.0])
         assert hclust.CondensedDistances(n=3, values=values).values is values
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.one_of(condensed_from(tie_levels), condensed_from(continuous)))
-    def test_as_square_equals_scipy(self, d):
-        assert_same_bits(d.as_square(), scipy_distance.squareform(d.values))
 
+class TestPairTables:
     @pytest.mark.parametrize("n", [1, 2, 150, 200])
-    def test_as_square_equals_scipy_pinned(self, n):
-        d = cd(continuous(np.random.default_rng(n), n * (n - 1) // 2))
-        assert_same_bits(d.as_square(), scipy_distance.squareform(d.values))
-
-    def test_square_round_trip(self):
-        d = cd([1.0, 4.0, 5.0])
-        sq = d.as_square()
-        assert np.array_equal(sq, sq.T)
-        assert sq[0, 2] == 4.0
+    def test_pinned(self, n):
+        tables = hclust.pair_tables(n)
+        rows, cols = np.triu_indices(n, k=1)
+        assert_same_bits(tables.rows, rows)
+        assert_same_bits(tables.cols, cols)
+        assert_same_bits(tables.flat, np.ravel_multi_index((rows, cols), (n, n)))
+        # the index inverts the pair order, in scipy's condensed order,
+        # and its diagonal points one past the last pair
+        values = np.arange(rows.size)
+        index = scipy_distance.squareform(values, checks=False)
+        np.fill_diagonal(index, rows.size)
+        assert_same_bits(tables.index, index.astype(tables.index.dtype))
+        assert np.array_equal(tables.index[rows, cols], values)
+        for a in tables:
+            assert not a.flags.writeable
 
 
 class TestDistancesFromNetwork:
@@ -228,8 +231,7 @@ class TestAverageLinkage:
     def test_index_caches_hold_one_size(self):
         for n in range(2, 18):
             pinned_dendrogram(n, continuous)
-        assert hclust.upper_indices.cache_info().currsize == 1
-        assert hclust.pair_index.cache_info().currsize == 1
+        assert hclust.pair_tables.cache_info().currsize == 1
 
     def test_too_few(self):
         with pytest.raises(errors.Degenerate, match="need at least 2 items"):
@@ -383,7 +385,8 @@ class TestCophenetic:
     @settings(max_examples=150, deadline=None)
     @given(random_condensed)
     def test_ultrametric_triples(self, d):
-        c = hclust.cophenetic(hclust.average_linkage(d)).as_square()
+        c = scipy_distance.squareform(
+            hclust.cophenetic(hclust.average_linkage(d)).values)
         n = c.shape[0]
         for i in range(n):
             for j in range(n):
@@ -395,10 +398,12 @@ class TestCophenetic:
     def test_permutation_equivariance(self, d, seed):
         rng = np.random.default_rng(seed)
         perm = rng.permutation(d.n)
-        sq = d.as_square()[np.ix_(perm, perm)]
+        sq = scipy_distance.squareform(d.values)[np.ix_(perm, perm)]
         dp = cd(sq[np.triu_indices(d.n, k=1)])
-        c = hclust.cophenetic(hclust.average_linkage(d)).as_square()
-        cp = hclust.cophenetic(hclust.average_linkage(dp)).as_square()
+        c = scipy_distance.squareform(
+            hclust.cophenetic(hclust.average_linkage(d)).values)
+        cp = scipy_distance.squareform(
+            hclust.cophenetic(hclust.average_linkage(dp)).values)
         assert np.array_equal(cp, c[np.ix_(perm, perm)])
 
 
@@ -466,7 +471,7 @@ class TestNewick:
         labels = [f"L{i}" for i in range(d.n)]
         text = hclust.to_newick(dend, labels)
         paths = helpers.newick_path_lengths(text, labels)
-        c = hclust.cophenetic(dend).as_square()
+        c = scipy_distance.squareform(hclust.cophenetic(dend).values)
         for i in range(d.n):
             for j in range(i + 1, d.n):
                 assert paths[(labels[i], labels[j])] == pytest.approx(

@@ -105,6 +105,15 @@ def test_parse_gdp_nonpositive(value):
         ingest.parse_gdp_csv(f"year,country,gdp_usd\n2007,USA,{value}\n")
 
 
+@pytest.mark.parametrize("row, line", [
+    ("20x7,USA,1", 3), ("2007,USA,lots", 3),
+], ids=["year", "gdp"])
+def test_parse_gdp_not_a_number(row, line):
+    with pytest.raises(errors.ParseError) as err:
+        ingest.parse_gdp_csv(f"year,country,gdp_usd\n2006,USA,1\n{row}\n")
+    assert err.value.line == line
+
+
 def test_parse_recessions_basic():
     wins = ingest.parse_recessions(
         "label,start,end\ngreat-recession,2007-12,2009-06\n"
@@ -126,6 +135,13 @@ def test_parse_recessions_start_after_end():
 def test_parse_recessions_bad_date():
     with pytest.raises(errors.ParseError, match="expected YYYY-MM, got '2009'"):
         ingest.parse_recessions("label,start,end\nx,2009,2010-01\n")
+
+
+def test_parse_recessions_month_not_an_integer():
+    with pytest.raises(errors.ParseError,
+                       match="expected YYYY-MM, got '2008-XX'") as err:
+        ingest.parse_recessions("label,start,end\nx,2007-12,2009-06\ny,2008-XX,2009-06\n")
+    assert err.value.line == 3
 
 
 def test_parse_recessions_sorted_and_overlap_warns(caplog):

@@ -119,29 +119,33 @@ class TestShockConfig:
         assert (cfg.tolerance, cfg.max_steps) == (0.0, 1)
 
 
+def shocked_y(state, config=CFG):
+    """Y(1), the GDP just after the shock, as run_to_steady records it."""
+    return shockprop.run_to_steady(state, config).steps[1]
+
+
 class TestApplyShock:
+    """The shock that run_to_steady applies at t = 1."""
+
     def test_fraction(self):
-        shocked = shockprop.apply_shock(two_country_state(), CFG)
-        assert shocked.y[0] == pytest.approx(94.6, abs=1e-12)
-        assert shocked.y[1] == 100.0
+        y = shocked_y(two_country_state())
+        assert y[0] == pytest.approx(94.6, abs=1e-12)
+        assert y[1] == 100.0
 
     def test_small_fraction_limit(self):
-        st = two_country_state()
-        shocked = shockprop.apply_shock(
-            st, ShockConfig(epicenter="USA", shock_fraction=1e-12)
-        )
-        assert shocked.y[0] == pytest.approx(100.0, rel=1e-11)
+        y = shocked_y(two_country_state(),
+                      ShockConfig(epicenter="USA", shock_fraction=1e-12))
+        assert y[0] == pytest.approx(100.0, rel=1e-11)
 
     def test_unknown_epicenter(self):
         with pytest.raises(errors.Degenerate, match="'XXX' not in state"):
-            shockprop.apply_shock(
+            shockprop.run_to_steady(
                 two_country_state(), ShockConfig(epicenter="XXX")
             )
 
     def test_restore_before_stepping_recovers_initial(self):
         st = two_country_state()
-        shocked = shockprop.apply_shock(st, CFG)
-        y = shocked.y.copy()
+        y = shocked_y(st).copy()
         y[0] = st.y[0]
         assert np.array_equal(y, st.y)
 
@@ -149,9 +153,8 @@ class TestApplyShock:
 class TestStep:
     def test_first_hand_iterate(self):
         st = two_country_state()
-        shocked = shockprop.apply_shock(st, CFG)
         x_t, _, y_next, _ = shockprop.step(
-            st.x, st.x.sum(axis=1), st.y, shocked.y, st.p)
+            st.x, st.x.sum(axis=1), st.y, shocked_y(st), st.p)
         # exports toward the epicenter shrink with its GDP
         assert x_t[1, 0] == pytest.approx(9.46, abs=1e-12)
         assert x_t[0, 1] == pytest.approx(10.0, abs=1e-12)
@@ -160,10 +163,10 @@ class TestStep:
 
     def test_second_hand_iterate(self):
         st = two_country_state()
-        shocked = shockprop.apply_shock(st, CFG)
+        y1 = shocked_y(st)
         x2, ex2, y2, _ = shockprop.step(
-            st.x, st.x.sum(axis=1), st.y, shocked.y, st.p)
-        x3, _, y3, _ = shockprop.step(x2, ex2, shocked.y, y2, st.p)
+            st.x, st.x.sum(axis=1), st.y, y1, st.p)
+        x3, _, y3, _ = shockprop.step(x2, ex2, y1, y2, st.p)
         assert x3[0, 1] == pytest.approx(9.946, abs=1e-12)
         assert y3[0] == pytest.approx(94.548916, abs=1e-12)
 
@@ -328,6 +331,14 @@ class TestImpactRatio:
             expected, rel=1e-9
         )
 
+    def test_not_converged(self):
+        trace = SimulationTrace(
+            ("AAA", "BBB"), [np.array([100.0, 50.0]), np.array([90.0, 50.0])],
+            converged=False,
+        )
+        with pytest.raises(errors.Degenerate, match="did not reach steady state"):
+            shockprop.impact_ratio(trace, "AAA")
+
     def test_single_country_world(self):
         trace = SimulationTrace(
             ("AAA",), [np.array([100.0]), np.array([90.0])], converged=True
@@ -421,6 +432,11 @@ class TestFitRecovery:
         assert fit.lam == pytest.approx(0.3, abs=1e-9)
         assert fit.a == pytest.approx(5.0, abs=1e-9)
         assert fit.y_inf == pytest.approx(100.0, abs=1e-9)
+
+    def test_overshoot(self):
+        w = np.array([90.0, 101.0, 100.5, 100.0])
+        with pytest.raises(errors.Degenerate, match="overshoots its final value"):
+            shockprop.fit_recovery(self.make_trace(w))
 
     def test_flat_trace(self):
         with pytest.raises(errors.Degenerate, match="only 0 points below"):

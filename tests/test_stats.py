@@ -29,6 +29,10 @@ class TestPearson:
         with pytest.raises(errors.Degenerate, match="lengths differ"):
             stats.pearson([1, 2, 3], [1, 2])
 
+    def test_too_few_points(self):
+        with pytest.raises(errors.Degenerate, match="need at least 3 points, got 2"):
+            stats.pearson([1, 2], [2, 1])
+
     def test_degenerate(self):
         with pytest.raises(errors.Degenerate, match="zero variance input"):
             stats.pearson([1, 1, 1], [1, 2, 3])

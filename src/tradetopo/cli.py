@@ -1,14 +1,17 @@
 """Command-line batch pipelines over trade/GDP/recession CSV inputs.
 
-Exit codes, chosen in main() by the class of the error: 0 success,
-2 input/parse error (ParseError, MissingGdp, a missing or unreadable
-file, a bad option value; ImportError, before any write, when recover or
-pipeline --gdp finds no scipy), 3 empty or degenerate result (Degenerate,
-MissingYear), 4 non-convergence (NoConvergence; the partial trace is
-still written). In pipeline a failed shock scenario skips its year; a
-run in which every year fails exits 4 if each failure was NoConvergence,
-3 otherwise. All floats in output files use 12 significant digits so
-repeated runs are byte-identical.
+load(parse, path) reads every input file, write_table names and writes
+every table, and scenario() gives shock, recover and pipeline's fig4 a
+year's values. Exit codes, chosen in main() by the class of the error:
+0 success, 2 input/parse error (ParseError, MissingGdp, a missing or
+unreadable file, a bad option value; ImportError, before any write, when
+recover or pipeline --gdp finds no scipy), 3 empty or degenerate result
+(Degenerate, MissingYear), 4 non-convergence (NoConvergence; the partial
+trace is still written). In pipeline a shock scenario that fails at any
+point, its summary values included, skips its year; a run in which every
+year fails exits 4 if each failure was NoConvergence, 3 otherwise. All
+floats in output files use 12 significant digits so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -66,8 +69,10 @@ def atomic_write(path, text):
         raise
 
 
-def write_table(path, header, rows, fmt_name):
-    """Write rows either as CSV or as a JSON list of row objects."""
+def write_table(out_dir, stem, header, rows, fmt_name="csv"):
+    """Write rows to out_dir as stem.<fmt_name>: "csv" lines, or "json",
+    a JSON list of row objects."""
+    path = os.path.join(out_dir, f"{stem}.{fmt_name}")
     if fmt_name == "json":
         write_json(path, [dict(zip(header, row)) for row in rows])
     else:
@@ -89,25 +94,14 @@ def write_json(path, payload):
     atomic_write(path, json.dumps(clean(payload), indent=2) + "\n")
 
 
-def table_path(out_dir, stem, fmt_name):
-    ext = "json" if fmt_name == "json" else "csv"
-    return os.path.join(out_dir, f"{stem}.{ext}")
-
-
 # "utf-8-sig" skips a leading byte-order mark, as Excel's "CSV UTF-8" writes
+def load(parse, path):
+    with open(path, encoding="utf-8-sig") as fh:
+        return parse(fh)
+
+
 def load_trade(path):
-    with open(path, encoding="utf-8-sig") as fh:
-        return ingest.parse_trade_csv(fh)
-
-
-def load_gdp(path):
-    with open(path, encoding="utf-8-sig") as fh:
-        return ingest.parse_gdp_csv(fh)
-
-
-def load_recessions(path):
-    with open(path, encoding="utf-8-sig") as fh:
-        return ingest.parse_recessions(fh)
+    return load(ingest.parse_trade_csv, path)
 
 
 def select_years(args, available):
@@ -152,10 +146,8 @@ def shock_config(args):
 
 def _write_ccc_outputs(args, nets, series, gdp):
     write_table(
-        table_path(args.out, "ccc_series", args.format),
-        ["year", "ccc", "n_countries"],
-        [(p.year, p.ccc, p.n_countries) for p in series],
-        args.format,
+        args.out, "ccc_series", ["year", "ccc", "n_countries"],
+        [(p.year, p.ccc, p.n_countries) for p in series], args.format,
     )
     if gdp is None:
         return
@@ -166,27 +158,28 @@ def _write_ccc_outputs(args, nets, series, gdp):
             ratio_rows.append((net.year, metrics.trade_gdp_ratio(net, gdp)))
         except MissingGdp as exc:
             log.warning("year %d: %s", net.year, exc)
-    write_table(
-        table_path(args.out, "trade_gdp_ratio", args.format),
-        ["year", "ratio"], ratio_rows, args.format,
-    )
-    write_table(
-        table_path(args.out, "total_trade", args.format),
-        ["year", "total_trade"], total_rows, args.format,
-    )
+    write_table(args.out, "trade_gdp_ratio", ["year", "ratio"], ratio_rows,
+                args.format)
+    write_table(args.out, "total_trade", ["year", "total_trade"], total_rows,
+                args.format)
 
 
 def cmd_ccc_series(args):
     panel = load_trade(args.trade)
-    gdp = load_gdp(args.gdp) if args.gdp else None
+    gdp = load(ingest.parse_gdp_csv, args.gdp) if args.gdp else None
     _, nets, series = ccc_stage(args, panel)
     _write_ccc_outputs(args, nets, series, gdp)
     return EXIT_OK
 
 
-def cmd_dendrogram(args):
+def _year_tree(args):
+    """The network of args.year and its average-linkage tree."""
     net = ingest.build_network(load_trade(args.trade), args.year)
-    dend = hclust.average_linkage(hclust.distances_from_network(net))
+    return net, hclust.average_linkage(hclust.distances_from_network(net))
+
+
+def cmd_dendrogram(args):
+    net, dend = _year_tree(args)
     atomic_write(
         os.path.join(args.out, f"tree_{net.year}.nwk"),
         hclust.to_newick(dend, net.countries) + "\n",
@@ -196,23 +189,18 @@ def cmd_dendrogram(args):
         log.warning("cut count %d clamped to %d countries", args.cut, net.n)
     assignment = hclust.cut_at_count(dend, k)
     write_table(
-        table_path(args.out, f"clusters_{net.year}", args.format),
-        ["country", "cluster"],
-        list(zip(net.countries, assignment)),
-        args.format,
+        args.out, f"clusters_{net.year}", ["country", "cluster"],
+        list(zip(net.countries, assignment)), args.format,
     )
     return EXIT_OK
 
 
 def cmd_share_matrix(args):
-    net = ingest.build_network(load_trade(args.trade), args.year)
-    dend = hclust.average_linkage(hclust.distances_from_network(net))
+    net, dend = _year_tree(args)
     share = metrics.ordered_share_matrix(net, dend)
     write_table(
-        os.path.join(args.out, f"share_matrix_{net.year}.csv"),
-        ["", *share.countries],
+        args.out, f"share_matrix_{net.year}", ["", *share.countries],
         [(country, *row) for country, row in zip(share.countries, share.s.tolist())],
-        "csv",
     )
     return EXIT_OK
 
@@ -223,28 +211,38 @@ def _write_trace(path_stem, trace, args):
         for t, y in enumerate(trace.steps)
         for i, country in enumerate(trace.countries)
     ]
-    write_table(
-        table_path(args.out, path_stem, args.format),
-        ["step", "country", "gdp"], rows, args.format,
-    )
+    write_table(args.out, path_stem, ["step", "country", "gdp"], rows, args.format)
+
+
+def scenario(state, config, recover):
+    """One year's shock scenario: run_to_steady, or with recover the whole
+    shock_and_recover. Returns its last trace and a summary: the world GDP
+    change and impact ratio of the shock, and with recover the fit's
+    lambda, a and y_inf."""
+    if recover:
+        shock, trace, fit = shockprop.shock_and_recover(state, config)
+        fitted = {"lambda": fit.lam, "a": fit.a, "y_inf": fit.y_inf}
+    else:
+        shock = trace = shockprop.run_to_steady(state, config)
+        fitted = {}
+    return trace, {
+        "world_gdp_change": shockprop.world_gdp_change(shock),
+        "impact_ratio": shockprop.impact_ratio(shock, config.epicenter),
+        **fitted,
+    }
 
 
 def cmd_scenario(args):
     """shock runs run_to_steady, recover the whole shock_and_recover
     scenario; each writes its last phase's trace, then a JSON summary."""
-    panel, gdp = load_trade(args.trade), load_gdp(args.gdp)
+    panel, gdp = load_trade(args.trade), load(ingest.parse_gdp_csv, args.gdp)
     countries, x = ingest.directed_flows(panel, args.year)
     state = shockprop.year_state(args.year, countries, x, gdp)
-    config = shock_config(args)
     recover = args.command == "recover"
+    if recover:
+        shockprop._lmdif()  # the recovery fit's scipy, loaded before any write
     try:
-        if recover:
-            shockprop._lmdif()  # the recovery fit's scipy, loaded before any write
-            shock, trace, fit = shockprop.shock_and_recover(state, config)
-            fitted = {"lambda": fit.lam, "a": fit.a, "y_inf": fit.y_inf}
-        else:
-            shock = trace = shockprop.run_to_steady(state, config)
-            fitted = {}
+        trace, summary = scenario(state, shock_config(args), recover)
     except NoConvergence as exc:
         _write_trace(f"{exc.phase}_trace_{args.year}", exc.trace, args)
         raise
@@ -252,13 +250,7 @@ def cmd_scenario(args):
     _write_trace(f"{phase}_trace_{args.year}", trace, args)
     write_json(
         os.path.join(args.out, f"{phase}_summary_{args.year}.json"),
-        {
-            "world_gdp_change": shockprop.world_gdp_change(shock),
-            "impact_ratio": shockprop.impact_ratio(shock, config.epicenter),
-            **fitted,
-            "steps": len(trace.steps),
-            "converged": trace.converged,
-        },
+        {**summary, "steps": len(trace.steps), "converged": trace.converged},
     )
     return EXIT_OK
 
@@ -279,7 +271,7 @@ def _write_recessions_test(args, shift):
 
 def cmd_recessions_test(args):
     panel = load_trade(args.trade)
-    windows = load_recessions(args.recessions)
+    windows = load(ingest.parse_recessions, args.recessions)
     _, _, series = ccc_stage(args, panel)
     _write_recessions_test(args, stats.recession_ccc_shift(series, windows))
     return EXIT_OK
@@ -290,40 +282,29 @@ def _write_fig4(args, config, flows, series, gdp):
     scenario fails is skipped with a warning. When every year fails, no
     fig4 file is written and NoConvergence is raised if every failure was
     one, Degenerate otherwise."""
-    fig4a_rows, fig4b_rows, failures = [], [], []
+    done, failures = [], []  # (CccPoint, scenario summary) of each year done
     for point in series:
-        year = point.year
         try:
-            state = shockprop.year_state(year, *flows[year], gdp)
-            shock_trace, _, fit = shockprop.shock_and_recover(state, config)
+            state = shockprop.year_state(point.year, *flows[point.year], gdp)
+            done.append((point, scenario(state, config, recover=True)[1]))
         except (TradeTopoError, ValueError) as exc:
-            log.warning("year %d: shock scenario skipped: %s", year, exc)
+            log.warning("year %d: shock scenario skipped: %s", point.year, exc)
             failures.append(exc)
-            continue
-        fig4a_rows.append((
-            year, point.ccc, shockprop.impact_ratio(shock_trace, config.epicenter),
-        ))
-        fig4b_rows.append((
-            year, point.ccc, shockprop.world_gdp_change(shock_trace), fit.lam,
-        ))
-    if not fig4a_rows:
+    if not done:
         error = (NoConvergence if all(isinstance(e, NoConvergence)
                                       for e in failures) else Degenerate)
         raise error(f"shock scenario failed in all {len(failures)} years")
-    write_table(
-        os.path.join(args.out, "fig4a.csv"),
-        ["year", "ccc", "impact_ratio"], fig4a_rows, "csv",
-    )
-    write_table(
-        os.path.join(args.out, "fig4b.csv"),
-        ["year", "ccc", "world_gdp_change", "lambda"], fig4b_rows, "csv",
-    )
+    write_table(args.out, "fig4a", ["year", "ccc", "impact_ratio"],
+                [(p.year, p.ccc, s["impact_ratio"]) for p, s in done])
+    write_table(args.out, "fig4b", ["year", "ccc", "world_gdp_change", "lambda"],
+                [(p.year, p.ccc, s["world_gdp_change"], s["lambda"]) for p, s in done])
 
 
 def cmd_pipeline(args):
     panel = load_trade(args.trade)
-    gdp = load_gdp(args.gdp) if args.gdp else None
-    windows = load_recessions(args.recessions) if args.recessions else None
+    gdp = load(ingest.parse_gdp_csv, args.gdp) if args.gdp else None
+    windows = (load(ingest.parse_recessions, args.recessions)
+               if args.recessions else None)
     config = shock_config(args)
     if gdp is not None:  # the recovery fit's scipy, loaded before any write
         shockprop._lmdif()
@@ -407,9 +388,10 @@ def build_parser():
     group.add_argument("--years", metavar="A:B", type=_year_range,
                        help="inclusive year range")
     shock = _parent()
-    # normalized like the country codes of the input files
-    shock.add_argument("--epicenter", default="USA",
-                       type=lambda code: code.strip().upper())
+    # normalized like the country codes of the input files, which are read as
+    # UTF-8 whatever the locale: surrogate-escaped argv bytes are decoded again
+    shock.add_argument("--epicenter", default="USA", type=lambda code: code.encode(
+        "utf-8", "surrogateescape").decode("utf-8", "surrogateescape").strip().upper())
     shock.add_argument("--shock", type=_positive(float, below=1), default=0.054,
                        help="epicenter GDP shock fraction")
     shock.add_argument("--tol", type=_positive(float), default=1e-10)

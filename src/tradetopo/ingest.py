@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, ParseError
+from .errors import Degenerate, MissingGdp, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -222,6 +222,15 @@ def parse_gdp_csv(stream) -> dict[tuple[int, str], float]:
             raise ParseError(f"duplicate gdp row for {key}", line=lineno)
         table[key] = gdp
     return table
+
+
+def gdp_of(gdp, year, countries) -> list[float]:
+    """The GDPs of countries in year from a parse_gdp_csv table, in the
+    order of countries. Raises MissingGdp naming every country without one."""
+    missing = [c for c in countries if (year, c) not in gdp]
+    if missing:
+        raise MissingGdp(missing)
+    return [gdp[(year, c)] for c in countries]
 
 
 def _parse_year_month(text, lineno):

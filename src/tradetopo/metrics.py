@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hclust, stats
-from .errors import Degenerate, MissingGdp, TradeTopoError
+from . import hclust, ingest, stats
+from .errors import Degenerate, TradeTopoError
 
 log = logging.getLogger(__name__)
 
@@ -93,7 +93,7 @@ def ordered_share_matrix(net, dend: hclust.Dendrogram) -> ShareMatrix:
     order = hclust.leaf_order(dend)
     return ShareMatrix(
         countries=[base.countries[i] for i in order],
-        s=base.s.take(order, 0).take(order, 1),
+        s=base.s[np.ix_(order, order)],
     )
 
 
@@ -104,9 +104,5 @@ def total_trade(net) -> float:
 
 def trade_gdp_ratio(net, gdp: dict) -> float:
     """Total world trade of the year divided by total world GDP over the
-    network's countries."""
-    missing = [c for c in net.countries if (net.year, c) not in gdp]
-    if missing:
-        raise MissingGdp(missing)
-    world_gdp = sum(gdp[(net.year, c)] for c in net.countries)
-    return total_trade(net) / world_gdp
+    network's countries, summed left to right in country order."""
+    return total_trade(net) / sum(ingest.gdp_of(gdp, net.year, net.countries))

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, MissingGdp, NoConvergence
+from . import ingest
+from .errors import Degenerate, NoConvergence
 
 log = logging.getLogger(__name__)
 
@@ -98,10 +99,7 @@ def year_state(year, countries, x, gdp: dict) -> EconomyState:
     Exports stay directional (no symmetrization); P_i is computed once
     and never updated.
     """
-    missing = [c for c in countries if (year, c) not in gdp]
-    if missing:
-        raise MissingGdp(missing)
-    y = np.array([gdp[(year, c)] for c in countries])
+    y = np.array(ingest.gdp_of(gdp, year, countries))
     state = EconomyState.from_exports(countries, y, x)
     high = [c for c, pi in zip(state.countries, state.p) if pi >= 1]
     if high:
@@ -214,10 +212,14 @@ def shock_and_recover(state: EconomyState, config: ShockConfig):
     return shock, recovery, fit_recovery(recovery)
 
 
-def world_gdp_change(trace: SimulationTrace) -> float:
-    """Relative change of total world GDP between the first and last step."""
+def _check_steady(trace: SimulationTrace):
     if not trace.converged:
         raise Degenerate("trace did not reach steady state")
+
+
+def world_gdp_change(trace: SimulationTrace) -> float:
+    """Relative change of total world GDP between the first and last step."""
+    _check_steady(trace)
     w = trace.world_gdp
     return float((w[-1] - w[0]) / w[0])
 
@@ -225,8 +227,7 @@ def world_gdp_change(trace: SimulationTrace) -> float:
 def impact_ratio(trace: SimulationTrace, epicenter: str) -> float:
     """F = (% change of world GDP excluding the epicenter) / (% change of
     the epicenter's GDP), measured first-to-last step."""
-    if not trace.converged:
-        raise Degenerate("trace did not reach steady state")
+    _check_steady(trace)
     if len(trace.countries) < 2:
         raise Degenerate("impact ratio needs at least 2 countries")
     i = _country_index(trace.countries, epicenter)
@@ -253,8 +254,7 @@ def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
     converging, the log-linear seed is returned; a non-finite point of W
     raises ValueError, as in curve_fit.
     """
-    if not trace.converged:
-        raise Degenerate("trace did not reach steady state")
+    _check_steady(trace)
     eps = 1e-12
     w = trace.world_gdp
     y_end = float(w[-1])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from tradetopo import cli, ingest, metrics, shockprop
+from tradetopo import cli, errors, ingest, metrics, shockprop
 
 TRADE3 = """year,reporter,partner,value_usd
 2000,AAA,BBB,3
@@ -604,6 +604,26 @@ class TestPipeline:
         assert "1995" not in years and "1996" in years
         assert "year 1995: shock scenario skipped: 'MEX' not in state" in caplog.text
 
+    def test_degenerate_impact_ratio_skips_its_year(self, fixtures_dir, tmp_path,
+                                                    caplog, monkeypatch):
+        impact_ratio, calls = shockprop.impact_ratio, []
+
+        def first_call_fails(trace, epicenter):
+            calls.append(1)
+            if len(calls) == 1:
+                raise errors.Degenerate("epicenter GDP did not change")
+            return impact_ratio(trace, epicenter)
+        monkeypatch.setattr(shockprop, "impact_ratio", first_call_fails)
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out) == 0
+        years = [ln.split(",")[0]
+                 for ln in (out / "ccc_series.csv").read_text().splitlines()[1:]]
+        for name in ("fig4a.csv", "fig4b.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert [ln.split(",")[0] for ln in rows] == years[1:]
+        assert (f"year {years[0]}: shock scenario skipped: epicenter GDP did not"
+                " change") in caplog.text
+
     def check_no_fig4(self, out, *unchanged):
         """out holds every output but fig4a.csv and fig4b.csv, and the
         files named have their golden bytes."""
@@ -820,6 +840,48 @@ class TestByteOrderMark:
         assert names and sorted(p.name for p in outs["bom"].iterdir()) == names
         for n in names:
             assert (outs["bom"] / n).read_bytes() == (outs["plain"] / n).read_bytes()
+
+
+class TestEpicenterText:
+    @pytest.fixture
+    def ala_inputs(self, tmp_path):
+        trade, gdp = tmp_path / "trade.csv", tmp_path / "gdp.csv"
+        trade.write_text(TRADE3.replace("AAA", "ÅLA"), encoding="utf-8")
+        gdp.write_text(GDP3.replace("AAA", "ÅLA"), encoding="utf-8")
+        return trade, gdp
+
+    def test_non_ascii_epicenter_under_an_ascii_locale(self, ala_inputs, tmp_path,
+                                                        package_env):
+        trade, gdp = ala_inputs
+        outs = []
+        for name, locale in [
+            ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+            ("utf8", {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}),
+        ]:
+            outs.append(tmp_path / name)
+            proc = subprocess.run(
+                [sys.executable, "-m", "tradetopo.cli", "shock",
+                 "--trade", str(trade), "--gdp", str(gdp), "--year", "2000",
+                 "--epicenter", "ÅLA".encode(), "--out", str(outs[-1])],
+                env={**package_env, **locale}, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert names == ["shock_summary_2000.json", "shock_trace_2000.csv"]
+        for n in names:
+            assert (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
+
+    @pytest.mark.parametrize("text", ["ÅLA", " åla", "\udcc3\udc85LA"],
+                             ids=["text", "lower-case", "surrogate-escaped"])
+    def test_epicenter_reads_as_the_files_code(self, text, ala_inputs, tmp_path):
+        trade, gdp = ala_inputs
+        args = cli.build_parser().parse_args(
+            ["shock", "--trade", "t", "--gdp", "g", "--year", "2000",
+             "--epicenter", text, "--out", "o"])
+        assert args.epicenter == "ÅLA"
+        out = tmp_path / "out"
+        assert run("shock", "--trade", trade, "--gdp", gdp, "--year", 2000,
+                   "--epicenter", text, "--out", out) == 0
+        assert (out / "shock_summary_2000.json").exists()
 
 
 class TestAtomicWrite:

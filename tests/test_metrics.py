@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from tradetopo import errors, hclust, metrics
+from tradetopo import errors, hclust, metrics, shockprop
 from tradetopo.ingest import TradeNetwork
 
 
@@ -348,3 +348,27 @@ class TestTotals:
         with pytest.raises(errors.MissingGdp) as err:
             metrics.trade_gdp_ratio(net, {(2000, "C00"): 100.0})
         assert err.value.countries == ["C01"]
+
+    def test_world_gdp_summed_left_to_right_in_country_order(self):
+        # 1e16 + 1 rounds to 1e16 (ties to even), so the sum left to right
+        # is 1e16, while math.fsum, the ascending sum and numpy's pairwise
+        # sum of nine values all give 1e16 + 8
+        net = net_from_upper([1.0] * 36)
+        gdps = [1e16] + [1.0] * 8
+        gdp = {(2000, c): v for c, v in zip(net.countries, gdps)}
+        assert math.fsum(gdps) == sum(sorted(gdps)) == np.sum(gdps) == 1e16 + 8
+        assert 36.0 / 1e16 != 36.0 / (1e16 + 8)
+        assert metrics.trade_gdp_ratio(net, gdp) == 36.0 / 1e16
+
+    @pytest.mark.parametrize("gaps", [["C00"], ["C02"], ["C01", "C03"],
+                                      ["C03", "C00", "C02", "C01"]])
+    def test_same_missing_gdp_as_year_state(self, gaps):
+        net = net_from_upper([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        gdp = {(2000, c): 10.0 for c in net.countries if c not in gaps}
+        gdp[(2001, gaps[0])] = 10.0  # another year's value fills no gap
+        with pytest.raises(errors.MissingGdp) as ratio_err:
+            metrics.trade_gdp_ratio(net, gdp)
+        with pytest.raises(errors.MissingGdp) as state_err:
+            shockprop.year_state(2000, net.countries, np.ones((4, 4)), gdp)
+        assert ratio_err.value.countries == state_err.value.countries == sorted(gaps)
+        assert str(ratio_err.value) == str(state_err.value)

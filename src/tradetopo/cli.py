@@ -1,17 +1,17 @@
 """Command-line batch pipelines over trade/GDP/recession CSV inputs.
 
-load(parse, path) reads every input file, write_table names and writes
-every table, and scenario() gives shock, recover and pipeline's fig4 a
-year's values. Exit codes, chosen in main() by the class of the error:
-0 success, 2 input/parse error (ParseError, MissingGdp, a missing or
-unreadable file, a bad option value; ImportError, before any write, when
-recover or pipeline --gdp finds no scipy), 3 empty or degenerate result
-(Degenerate, MissingYear), 4 non-convergence (NoConvergence; the partial
-trace is still written). In pipeline a shock scenario that fails at any
-point, its summary values included, skips its year; a run in which every
-year fails exits 4 if each failure was NoConvergence, 3 otherwise. All
-floats in output files use 12 significant digits so repeated runs are
-byte-identical.
+load(parse, path) reads every input file, write_table writes every table
+as CSV and write_json every record as JSON, and scenario() gives shock,
+recover and pipeline's fig4 a year's values. Exit codes, chosen in main()
+by the class of the error: 0 success, 2 input/parse error (ParseError,
+MissingGdp, a missing or unreadable file, a bad option value; ImportError,
+before any write, when recover or pipeline --gdp finds no scipy), 3 empty
+or degenerate result (Degenerate, MissingYear), 4 non-convergence
+(NoConvergence; the partial trace is still written). In pipeline a shock
+scenario that fails at any point, its summary values included, skips its
+year; a run in which every year fails exits 4 if each failure was
+NoConvergence, 3 otherwise. All floats in output files use 12 significant
+digits so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def fmt(value) -> str:
     return str(value)
 
 
-def round12(value: float) -> float:
-    return float(f"{value:.12g}")
-
-
 def atomic_write(path, text):
     """Write text as UTF-8, whatever the locale, through a temp file in
     path's directory and one rename. The temp file is created with mode
@@ -69,29 +65,25 @@ def atomic_write(path, text):
         raise
 
 
-def write_table(out_dir, stem, header, rows, fmt_name="csv"):
-    """Write rows to out_dir as stem.<fmt_name>: "csv" lines, or "json",
-    a JSON list of row objects."""
-    path = os.path.join(out_dir, f"{stem}.{fmt_name}")
-    if fmt_name == "json":
-        write_json(path, [dict(zip(header, row)) for row in rows])
-    else:
-        lines = [",".join(header)]
-        lines.extend(",".join(fmt(v) for v in row) for row in rows)
-        atomic_write(path, "\n".join(lines) + "\n")
+def write_table(out_dir, stem, header, rows):
+    """Write rows to out_dir as stem.csv."""
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    atomic_write(os.path.join(out_dir, f"{stem}.csv"), "\n".join(lines) + "\n")
 
 
-def write_json(path, payload):
+def write_json(out_dir, stem, record):
+    """Write a record of scalars and float lists to out_dir as stem.json."""
     def clean(v):
         if isinstance(v, float):
-            return round12(v)
+            return float(fmt(v))
         if isinstance(v, list):
             return [clean(x) for x in v]
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in v.items()}
         return v
 
-    atomic_write(path, json.dumps(clean(payload), indent=2) + "\n")
+    record = {k: clean(v) for k, v in record.items()}
+    atomic_write(os.path.join(out_dir, f"{stem}.json"),
+                 json.dumps(record, indent=2) + "\n")
 
 
 # "utf-8-sig" skips a leading byte-order mark, as Excel's "CSV UTF-8" writes
@@ -145,10 +137,8 @@ def shock_config(args):
 
 
 def _write_ccc_outputs(args, nets, series, gdp):
-    write_table(
-        args.out, "ccc_series", ["year", "ccc", "n_countries"],
-        [(p.year, p.ccc, p.n_countries) for p in series], args.format,
-    )
+    write_table(args.out, "ccc_series", ["year", "ccc", "n_countries"],
+                [(p.year, p.ccc, p.n_countries) for p in series])
     if gdp is None:
         return
     ratio_rows, total_rows = [], []
@@ -158,10 +148,8 @@ def _write_ccc_outputs(args, nets, series, gdp):
             ratio_rows.append((net.year, metrics.trade_gdp_ratio(net, gdp)))
         except MissingGdp as exc:
             log.warning("year %d: %s", net.year, exc)
-    write_table(args.out, "trade_gdp_ratio", ["year", "ratio"], ratio_rows,
-                args.format)
-    write_table(args.out, "total_trade", ["year", "total_trade"], total_rows,
-                args.format)
+    write_table(args.out, "trade_gdp_ratio", ["year", "ratio"], ratio_rows)
+    write_table(args.out, "total_trade", ["year", "total_trade"], total_rows)
 
 
 def cmd_ccc_series(args):
@@ -188,10 +176,8 @@ def cmd_dendrogram(args):
     if k != args.cut:
         log.warning("cut count %d clamped to %d countries", args.cut, net.n)
     assignment = hclust.cut_at_count(dend, k)
-    write_table(
-        args.out, f"clusters_{net.year}", ["country", "cluster"],
-        list(zip(net.countries, assignment)), args.format,
-    )
+    write_table(args.out, f"clusters_{net.year}", ["country", "cluster"],
+                list(zip(net.countries, assignment)))
     return EXIT_OK
 
 
@@ -211,7 +197,7 @@ def _write_trace(path_stem, trace, args):
         for t, y in enumerate(trace.steps)
         for i, country in enumerate(trace.countries)
     ]
-    write_table(args.out, path_stem, ["step", "country", "gdp"], rows, args.format)
+    write_table(args.out, path_stem, ["step", "country", "gdp"], rows)
 
 
 def scenario(state, config, recover):
@@ -248,32 +234,16 @@ def cmd_scenario(args):
         raise
     phase = "recovery" if recover else "shock"
     _write_trace(f"{phase}_trace_{args.year}", trace, args)
-    write_json(
-        os.path.join(args.out, f"{phase}_summary_{args.year}.json"),
-        {**summary, "steps": len(trace.steps), "converged": trace.converged},
-    )
+    write_json(args.out, f"{phase}_summary_{args.year}",
+               {**summary, "steps": len(trace.steps), "converged": trace.converged})
     return EXIT_OK
-
-
-def _write_recessions_test(args, shift):
-    write_json(
-        os.path.join(args.out, "recessions_test.json"),
-        {
-            "D": shift["two_sided"].d_statistic,
-            "p": shift["two_sided"].p_value,
-            "method": shift["two_sided"].method,
-            "before": shift["before"],
-            "after": shift["after"],
-            "one_sided_p": shift["one_sided_p"],
-        },
-    )
 
 
 def cmd_recessions_test(args):
     panel = load_trade(args.trade)
     windows = load(ingest.parse_recessions, args.recessions)
     _, _, series = ccc_stage(args, panel)
-    _write_recessions_test(args, stats.recession_ccc_shift(series, windows))
+    write_json(args.out, "recessions_test", stats.recession_ccc_shift(series, windows))
     return EXIT_OK
 
 
@@ -322,7 +292,7 @@ def cmd_pipeline(args):
         shift = stats.recession_ccc_shift(series, windows)
     _write_ccc_outputs(args, nets, series, gdp)
     if shift is not None:  # before fig4, which raises if every year fails
-        _write_recessions_test(args, shift)
+        write_json(args.out, "recessions_test", shift)
     if gdp is None:
         log.warning("no GDP data; shock and recovery stages skipped")
     else:
@@ -398,19 +368,18 @@ def build_parser():
     shock.add_argument("--max-steps", type=_positive(int), default=100_000)
     cut = _parent("--cut", type=_positive(int), default=6,
                   help="cluster count for cuts")
-    table_format = _parent("--format", choices=("csv", "json"), default="csv")
 
     def add(name, func, *options):
         p = sub.add_parser(name, parents=[trade, *options, out])
         p.set_defaults(func=func)
 
-    add("ccc-series", cmd_ccc_series, gdp, years, table_format)
-    add("dendrogram", cmd_dendrogram, year, cut, table_format)
+    add("ccc-series", cmd_ccc_series, gdp, years)
+    add("dendrogram", cmd_dendrogram, year, cut)
     add("share-matrix", cmd_share_matrix, year)
-    add("shock", cmd_scenario, need_gdp, year, shock, table_format)
-    add("recover", cmd_scenario, need_gdp, year, shock, table_format)
+    add("shock", cmd_scenario, need_gdp, year, shock)
+    add("recover", cmd_scenario, need_gdp, year, shock)
     add("recessions-test", cmd_recessions_test, need_recessions, years)
-    add("pipeline", cmd_pipeline, gdp, recessions, years, shock, table_format)
+    add("pipeline", cmd_pipeline, gdp, recessions, years, shock)
     return parser
 
 

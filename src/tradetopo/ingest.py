@@ -85,10 +85,13 @@ def _check_header(row, expected, what):
 
 def _csv_rows(stream, header, what):
     """(line number, row) of each non-blank row after a checked header,
-    every row holding one field per header column."""
+    every row holding one field per header column. A row whose quoted
+    field spans lines is numbered by its first line."""
     reader = csv.reader(_as_stream(stream))
     _check_header(next(reader, None), header, what)
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not row:
             continue
         if len(row) != len(header):

@@ -53,8 +53,6 @@ def ccc(d: hclust.CondensedDistances, c: hclust.CondensedDistances) -> float:
 def ccc_of_network(net) -> CccPoint:
     """CCC of one year's trade network against its average-linkage tree."""
     d = hclust.distances_from_network(net)
-    if net.n < 3:
-        raise Degenerate(f"CCC needs at least 3 countries, got {net.n}")
     c = hclust.cophenetic(hclust.average_linkage(d))
     return CccPoint(year=net.year, ccc=ccc(d, c), n_countries=net.n)
 

@@ -109,7 +109,8 @@ def recession_ccc_shift(series, windows):
     """Compare CCC the year before each recession starts with CCC the
     year after it ends.
 
-    Returns before/after samples, the two-sided KS result and the
+    Returns the record written as recessions_test.json: the two-sided KS
+    statistic D, its p and method, the before/after samples, and the
     one-sided permutation p for "before below after", i.e. CCC rising
     after recessions.
     """
@@ -124,9 +125,7 @@ def recession_ccc_shift(series, windows):
         raise MissingYear(missing)
     before = [by_year[w.start[0] - 1] for w in windows]
     after = [by_year[w.end[0] + 1] for w in windows]
-    return {
-        "before": before,
-        "after": after,
-        "two_sided": ks_two_sample(before, after),
-        "one_sided_p": ks_one_sided_p(before, after),
-    }
+    ks = ks_two_sample(before, after)
+    return {"D": ks.d_statistic, "p": ks.p_value, "method": ks.method,
+            "before": before, "after": after,
+            "one_sided_p": ks_one_sided_p(before, after)}

@@ -76,14 +76,6 @@ class TestCccSeries:
         trade.write_text("year,reporter,partner,value_usd\n2000,AAA,BBB,3\n")
         assert run("ccc-series", "--trade", trade, "--out", tmp_path / "o") == 3
 
-    def test_json_format(self, small_inputs, tmp_path):
-        trade, _ = small_inputs
-        out = tmp_path / "out"
-        assert run("ccc-series", "--trade", trade, "--out", out,
-                   "--format", "json") == 0
-        rows = json.loads((out / "ccc_series.json").read_text())
-        assert rows[0]["year"] == 2000
-
     @staticmethod
     def six_country_years(year_2000_value, scale=1):
         """Trade CSV for 1999-2001 over six countries: flows 1-100, except
@@ -148,26 +140,6 @@ class TestCccSeries:
         for command in ("dendrogram", "share-matrix"):
             assert run(command, "--trade", trade, "--year", 2000,
                        "--out", tmp_path / command) == 3
-
-    # SHA-256 of `ccc-series --gdp --format json` on tests/fixtures, recorded
-    # before write_table's JSON branch was routed through write_json.
-    GOLDEN_JSON = {
-        "ccc_series.json":
-            "69207fdb3840a8d2a3ed4c2125ea9217acdb62da2328db64a8c2b1e97afad31c",
-        "trade_gdp_ratio.json":
-            "546d3ded433f449ccc23b623df220d0e626b2e3e653776fa306ea7df9748e04d",
-        "total_trade.json":
-            "ecdfbfc3f123181484862442a36e1e21451fa35e549e48b957f7c6e82a06fc78",
-    }
-
-    def test_golden_json_bytes(self, fixtures_dir, tmp_path):
-        out = tmp_path / "out"
-        assert run("ccc-series", "--trade", fixtures_dir / "trade.csv",
-                   "--gdp", fixtures_dir / "gdp.csv", "--out", out,
-                   "--format", "json") == 0
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in out.iterdir()}
-        assert digests == self.GOLDEN_JSON
 
 
 class TestDendrogram:
@@ -310,14 +282,10 @@ class TestScenarioGoldenBytes:
     before the two commands shared one body and shockprop's scenario."""
 
     TRACE = {
-        ("shock", "csv"):
+        "shock":
             "d154cc59074b72670057ef0a4685d1e410282a3b39db4360243e1d866f5ed207",
-        ("shock", "json"):
-            "d306e5acabda5894b97619e4673232d79d60286cf62af8dbd424f3ca26e35436",
-        ("recover", "csv"):
+        "recover":
             "9c6fa9da9704c412a9293ac8c648dca541c9f844f5f665a2690b7e5c0b5705ed",
-        ("recover", "json"):
-            "022ffd8d4f68e4a929cf311dc057f6e0896d85dd9f1765238ef87316fd56c17e",
     }
     SUMMARY = {
         "shock":
@@ -342,15 +310,13 @@ class TestScenarioGoldenBytes:
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.iterdir()}
 
-    @pytest.mark.parametrize("command, table_format", TRACE)
-    def test_output_bytes(self, command, table_format, fixtures_dir, tmp_path):
+    @pytest.mark.parametrize("command", TRACE, ids=["shock-csv", "recover-csv"])
+    def test_output_bytes(self, command, fixtures_dir, tmp_path):
         out = tmp_path / "out"
-        assert self.run_fixture(fixtures_dir, out, command, "--year", 2003,
-                                "--format", table_format) == 0
+        assert self.run_fixture(fixtures_dir, out, command, "--year", 2003) == 0
         phase = "shock" if command == "shock" else "recovery"
         assert self.digests(out) == {
-            f"{phase}_trace_2003.{table_format}":
-                self.TRACE[command, table_format],
+            f"{phase}_trace_2003.csv": self.TRACE[command],
             f"{phase}_summary_2003.json": self.SUMMARY[command],
         }
 
@@ -373,6 +339,9 @@ class TestRecessionsTest:
         assert set(result) == {"D", "p", "method", "before", "after",
                                "one_sided_p"}
         assert len(result["before"]) == 2
+        # the same file as pipeline's on the same inputs
+        assert (hashlib.sha256((out / "recessions_test.json").read_bytes()).hexdigest()
+                == TestPipeline.GOLDEN["recessions_test.json"])
 
     def test_window_outside_series_exit_3(self, small_inputs, tmp_path):
         trade, _ = small_inputs
@@ -785,6 +754,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["share-matrix", "--year", "2000", "--format", "json"],
+        # tables are CSV only: --format is gone
+        ["ccc-series", "--years", "1995:2000", "--format", "json"],
+        ["dendrogram", "--year", "2000", "--format", "json"],
+        ["shock", "--gdp=gdp.csv", "--year=2000", "--format", "json"],
+        ["recover", "--gdp=gdp.csv", "--year=2000", "--format", "json"],
+        ["pipeline", "--years", "1995:2000", "--format", "json"],
         ["dendrogram", "--year", "2000", "--gdp", "nope.csv", "--shock", "5"],
         # the trade network is always M = X + X^T: --mode is gone
         ["ccc-series", "--years", "1995:2000", "--mode", "sum"],
@@ -792,7 +767,9 @@ class TestExitCodes:
         ["share-matrix", "--year", "2000", "--mode", "mean"],
         ["recessions-test", "--recessions", "r.csv", "--mode", "sum"],
         ["pipeline", "--years", "1995:2000", "--mode", "sum"],
-    ], ids=["share-matrix", "dendrogram", "ccc-series-mode", "dendrogram-mode",
+    ], ids=["share-matrix", "ccc-series-format", "dendrogram-format", "shock-format",
+            "recover-format", "pipeline-format",
+            "dendrogram", "ccc-series-mode", "dendrogram-mode",
             "share-matrix-mode", "recessions-test-mode", "pipeline-mode"])
     def test_option_the_command_does_not_read_is_rejected(
             self, argv, small_inputs, tmp_path, capsys):

@@ -144,6 +144,29 @@ def test_parse_recessions_month_not_an_integer():
     assert err.value.line == 3
 
 
+# per parser: its header, a valid record whose quoted field spans lines 2-3,
+# and a bad record on one line and spanning two
+SPANNING = {
+    "trade": (ingest.parse_trade_csv, TRADE_HEADER, '2000,USA,CAN,"5\n"\n',
+              "2000,CAN,USA,x\n", '2000,CAN,USA,"x\n"\n'),
+    "gdp": (ingest.parse_gdp_csv, "year,country,gdp_usd\n", '2000,USA,"5\n"\n',
+            "2000,CAN,x\n", '2000,CAN,"x\n"\n'),
+    "recessions": (ingest.parse_recessions, "label,start,end\n",
+                   '"a\nb",2001-01,2001-06\n', "c,2001-01,2001-XX\n",
+                   'c,2001-01,"2001-XX\n"\n'),
+}
+
+
+@pytest.mark.parametrize("case", SPANNING)
+def test_parse_error_line_after_record_spanning_lines(case):
+    # a record is numbered by its first line, so both bad records are line 4
+    parse, header, spanning, bad, bad_spanning = SPANNING[case]
+    for body in (spanning + bad, spanning + bad_spanning):
+        with pytest.raises(errors.ParseError, match="^line 4: ") as err:
+            parse(header + body)
+        assert err.value.line == 4
+
+
 def test_parse_recessions_sorted_and_overlap_warns(caplog):
     text = "label,start,end\nb,2001-03,2001-11\na,2001-01,2001-06\n"
     with caplog.at_level("WARNING"):

@@ -1,3 +1,4 @@
+import pathlib
 import subprocess
 import sys
 from unittest import mock
@@ -875,3 +876,14 @@ class TestCurrencyUnit:
             assert np.array_equal(y * 2.0**exponent, y_scaled)
         assert (shockprop.impact_ratio(scaled, "C00")
                 == shockprop.impact_ratio(base, "C00"))
+
+
+def test_structure_response_script_prints_recorded_text(package_env):
+    # scripts/run_structure_response_2.txt was printed by the script before
+    # it ran its scenarios through shockprop.shock_and_recover
+    scripts = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+    proc = subprocess.run(
+        [sys.executable, str(scripts / "run_structure_response.py"), "2"],
+        capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (scripts / "run_structure_response_2.txt").read_text()

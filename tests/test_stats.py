@@ -285,12 +285,14 @@ class TestRecessionCccShift:
         shift = stats.recession_ccc_shift(pts, [window("w", 1991, 1993)])
         assert shift["before"] == [0.1]
         assert shift["after"] == [0.5]
+        # the keys in the order recessions_test.json holds them
+        assert list(shift) == ["D", "p", "method", "before", "after", "one_sided_p"]
 
     def test_equal_before_after(self):
         pts = series([0.5, 0.5, 0.5, 0.5, 0.5], 1990)
         shift = stats.recession_ccc_shift(pts, [window("w", 1991, 1993)])
-        assert shift["two_sided"].d_statistic == 0.0
-        assert shift["two_sided"].p_value == 1.0
+        assert shift["D"] == 0.0
+        assert shift["p"] == 1.0
 
     def test_seven_separated_windows(self):
         years = range(1960, 2002, 6)
@@ -300,8 +302,8 @@ class TestRecessionCccShift:
             pts.append(CccPoint(y, 0.2 + 0.001 * i, 10))       # before
             pts.append(CccPoint(y + 4, 0.8 + 0.001 * i, 10))   # after
         shift = stats.recession_ccc_shift(pts, windows)
-        assert shift["two_sided"].d_statistic == 1.0
-        assert shift["two_sided"].p_value == pytest.approx(2 / 3432)
+        assert shift["D"] == 1.0
+        assert shift["p"] == pytest.approx(2 / 3432)
         before = [0.2 + 0.001 * i for i in range(7)]
         after = [0.8 + 0.001 * i for i in range(7)]
         assert shift["one_sided_p"] == pytest.approx(

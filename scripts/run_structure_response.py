@@ -27,7 +27,7 @@ def run_pair(seed, shock_fraction):
 
 def main(argv):
     n_pairs = int(argv[1]) if len(argv) > 1 else 20
-    shock = float(argv[2]) if len(argv) > 2 else 0.054
+    shock = float(argv[2]) if len(argv) > 2 else ShockConfig.shock_fraction
     print(f"{'seed':>4}  {'topology':>8}  {'ccc':>8}  {'gdp_change':>11}  {'lambda':>8}")
     wins = {"ccc": 0, "loss": 0, "lam": 0}
     for seed in range(n_pairs):

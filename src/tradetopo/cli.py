@@ -2,16 +2,19 @@
 
 load(parse, path) reads every input file, write_table writes every table
 as CSV and write_json every record as JSON, and scenario() gives shock,
-recover and pipeline's fig4 a year's values. Exit codes, chosen in main()
-by the class of the error: 0 success, 2 input/parse error (ParseError,
-MissingGdp, a missing or unreadable file, a bad option value; ImportError,
-before any write, when recover or pipeline --gdp finds no scipy), 3 empty
-or degenerate result (Degenerate, MissingYear), 4 non-convergence
-(NoConvergence; the partial trace is still written). In pipeline a shock
-scenario that fails at any point, its summary values included, skips its
-year; a run in which every year fails exits 4 if each failure was
-NoConvergence, 3 otherwise. All floats in output files use 12 significant
-digits so repeated runs are byte-identical.
+recover and pipeline's fig4 a year's values. Each command computes every
+result before its first write, so an error leaves no partial output, with
+two exceptions: shock and recover still write the partial trace of a
+NoConvergence, and pipeline still writes its CCC outputs and
+recessions_test.json when every year's shock scenario fails. Exit codes,
+chosen in main() by the class of the error: 0 success, 2 input/parse
+error (ParseError, MissingGdp, a missing or unreadable file, a bad option
+value; ImportError when the recovery fit finds no scipy), 3 empty or
+degenerate result (Degenerate), 4 non-convergence (NoConvergence). In
+pipeline a shock scenario that fails at any point, its summary values
+included, skips its year; a run in which every year fails exits 4 if each
+failure was NoConvergence, 3 otherwise. All floats in output files use 12
+significant digits so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -86,9 +89,11 @@ def write_json(out_dir, stem, record):
                  json.dumps(record, indent=2) + "\n")
 
 
-# "utf-8-sig" skips a leading byte-order mark, as Excel's "CSV UTF-8" writes
+# "utf-8-sig" skips a leading byte-order mark, as Excel's "CSV UTF-8" writes;
+# a byte that is not UTF-8 reads as a lone surrogate, which fails its field's
+# check on its own line
 def load(parse, path):
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         return parse(fh)
 
 
@@ -132,8 +137,6 @@ def shock_config(args):
 
 
 # --- commands ---
-# Each command loads and validates every input it uses before it writes
-# any output, so an input error (exit 2) leaves no partial results.
 
 
 def _write_ccc_outputs(args, nets, series, gdp):
@@ -168,14 +171,14 @@ def _year_tree(args):
 
 def cmd_dendrogram(args):
     net, dend = _year_tree(args)
-    atomic_write(
-        os.path.join(args.out, f"tree_{net.year}.nwk"),
-        hclust.to_newick(dend, net.countries) + "\n",
-    )
     k = min(args.cut, net.n)
     if k != args.cut:
         log.warning("cut count %d clamped to %d countries", args.cut, net.n)
     assignment = hclust.cut_at_count(dend, k)
+    atomic_write(
+        os.path.join(args.out, f"tree_{net.year}.nwk"),
+        hclust.to_newick(dend, net.countries) + "\n",
+    )
     write_table(args.out, f"clusters_{net.year}", ["country", "cluster"],
                 list(zip(net.countries, assignment)))
     return EXIT_OK
@@ -225,8 +228,6 @@ def cmd_scenario(args):
     countries, x = ingest.directed_flows(panel, args.year)
     state = shockprop.year_state(args.year, countries, x, gdp)
     recover = args.command == "recover"
-    if recover:
-        shockprop._lmdif()  # the recovery fit's scipy, loaded before any write
     try:
         trace, summary = scenario(state, shock_config(args), recover)
     except NoConvergence as exc:
@@ -247,12 +248,12 @@ def cmd_recessions_test(args):
     return EXIT_OK
 
 
-def _write_fig4(args, config, flows, series, gdp):
+def _fig4_scenarios(config, flows, series, gdp):
     """Shock and recovery of every year in the CCC series; a year whose
-    scenario fails is skipped with a warning. When every year fails, no
-    fig4 file is written and NoConvergence is raised if every failure was
-    one, Degenerate otherwise."""
-    done, failures = [], []  # (CccPoint, scenario summary) of each year done
+    scenario fails is skipped with a warning. Returns the (CccPoint,
+    scenario summary) of each year done and the error of each year
+    skipped."""
+    done, failures = [], []
     for point in series:
         try:
             state = shockprop.year_state(point.year, *flows[point.year], gdp)
@@ -260,6 +261,13 @@ def _write_fig4(args, config, flows, series, gdp):
         except (TradeTopoError, ValueError) as exc:
             log.warning("year %d: shock scenario skipped: %s", point.year, exc)
             failures.append(exc)
+    return done, failures
+
+
+def _write_fig4(args, done, failures):
+    """fig4a and fig4b of the years done. When no year is done, nothing is
+    written and NoConvergence is raised if every failure was one,
+    Degenerate otherwise."""
     if not done:
         error = (NoConvergence if all(isinstance(e, NoConvergence)
                                       for e in failures) else Degenerate)
@@ -276,8 +284,6 @@ def cmd_pipeline(args):
     windows = (load(ingest.parse_recessions, args.recessions)
                if args.recessions else None)
     config = shock_config(args)
-    if gdp is not None:  # the recovery fit's scipy, loaded before any write
-        shockprop._lmdif()
     flows, nets, series = ccc_stage(args, panel)
     del panel  # free the parsed rows before the shock and KS stages
     # an epicenter absent from every year is a bad option, not a per-year skip
@@ -285,18 +291,16 @@ def cmd_pipeline(args):
         args.epicenter in flows[point.year][0] for point in series
     ):
         raise Degenerate(f"{args.epicenter!r} not in state")
-    # check the windows before the first write, so that windows the series
-    # does not cover leave no partial outputs
-    shift = None
-    if windows is not None:
-        shift = stats.recession_ccc_shift(series, windows)
+    shift = (stats.recession_ccc_shift(series, windows)
+             if windows is not None else None)
+    fig4 = _fig4_scenarios(config, flows, series, gdp) if gdp is not None else None
     _write_ccc_outputs(args, nets, series, gdp)
-    if shift is not None:  # before fig4, which raises if every year fails
+    if shift is not None:
         write_json(args.out, "recessions_test", shift)
-    if gdp is None:
+    if fig4 is None:
         log.warning("no GDP data; shock and recovery stages skipped")
     else:
-        _write_fig4(args, config, flows, series, gdp)
+        _write_fig4(args, *fig4)
     return EXIT_OK
 
 
@@ -362,10 +366,12 @@ def build_parser():
     # UTF-8 whatever the locale: surrogate-escaped argv bytes are decoded again
     shock.add_argument("--epicenter", default="USA", type=lambda code: code.encode(
         "utf-8", "surrogateescape").decode("utf-8", "surrogateescape").strip().upper())
-    shock.add_argument("--shock", type=_positive(float, below=1), default=0.054,
+    defaults = shockprop.ShockConfig
+    shock.add_argument("--shock", type=_positive(float, below=1),
+                       default=defaults.shock_fraction,
                        help="epicenter GDP shock fraction")
-    shock.add_argument("--tol", type=_positive(float), default=1e-10)
-    shock.add_argument("--max-steps", type=_positive(int), default=100_000)
+    shock.add_argument("--tol", type=_positive(float), default=defaults.tolerance)
+    shock.add_argument("--max-steps", type=_positive(int), default=defaults.max_steps)
     cut = _parent("--cut", type=_positive(int), default=6,
                   help="cluster count for cuts")
 

@@ -1,6 +1,5 @@
-"""Exception types shared across the package: one class per CLI exit code
-(2 ParseError / MissingGdp, 3 Degenerate / MissingYear, 4 NoConvergence),
-mapped to its code in cli.main."""
+"""Exception types shared across the package, each mapped to one CLI exit
+code in cli.main: 2 ParseError / MissingGdp, 3 Degenerate, 4 NoConvergence."""
 
 
 class TradeTopoError(Exception):
@@ -26,13 +25,6 @@ class MissingGdp(TradeTopoError):
 class Degenerate(TradeTopoError):
     """No usable data or an undefined result: an empty year, too few items,
     zero variance, an unknown epicenter, a trace that did not converge."""
-
-
-class MissingYear(Degenerate):
-    def __init__(self, windows):
-        labels = ", ".join(w.label for w in windows)
-        super().__init__(f"CCC series does not cover window(s): {labels}")
-        self.windows = list(windows)
 
 
 class NoConvergence(TradeTopoError):

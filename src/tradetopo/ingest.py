@@ -76,7 +76,12 @@ def _as_stream(stream):
     return stream
 
 
-def _check_header(row, expected, what):
+def _check_header(reader, expected, what):
+    """Read and check the header row, line 1, of a csv.reader."""
+    try:
+        row = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=1) from None
     if row is None or [c.strip().lower() for c in row] != expected:
         raise ParseError(
             f"{what} header must be {','.join(expected)}, got {row}", line=1
@@ -86,19 +91,23 @@ def _check_header(row, expected, what):
 def _csv_rows(stream, header, what):
     """(line number, row) of each non-blank row after a checked header,
     every row holding one field per header column. A row whose quoted
-    field spans lines is numbered by its first line."""
+    field spans lines is numbered by its first line, and so is a csv.Error
+    (a field over the field size limit) in it."""
     reader = csv.reader(_as_stream(stream))
-    _check_header(next(reader, None), header, what)
+    _check_header(reader, header, what)
     start = reader.line_num + 1
-    for row in reader:
-        lineno, start = start, reader.line_num + 1
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} columns, got {len(row)}", line=lineno
-            )
-        yield lineno, row
+    try:
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} columns, got {len(row)}", line=lineno
+                )
+            yield lineno, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=start) from None
 
 
 def _parse_country(code, lineno):
@@ -128,7 +137,7 @@ def parse_trade_csv(stream) -> TradePanel:
     if not stream.seekable():
         stream = io.StringIO(stream.read())
     start = stream.tell()
-    _check_header(next(csv.reader(stream), None), TRADE_HEADER, "trade")
+    _check_header(csv.reader(stream), TRADE_HEADER, "trade")
     panel = _read_trade_columns(stream)
     # a U field reads "USA\0" as "USA"; a header that passed has no NUL
     stream.seek(start)

@@ -14,7 +14,7 @@ from math import comb, frexp
 
 import numpy as np
 
-from .errors import Degenerate, MissingYear
+from .errors import Degenerate
 
 _TIE_EPS = 1e-12
 
@@ -118,11 +118,11 @@ def recession_ccc_shift(series, windows):
         raise Degenerate("no recession windows to test")
     by_year = {p.year: p.ccc for p in series}
     missing = [
-        w for w in windows
+        w.label for w in windows
         if w.start[0] - 1 not in by_year or w.end[0] + 1 not in by_year
     ]
     if missing:
-        raise MissingYear(missing)
+        raise Degenerate(f"CCC series does not cover window(s): {', '.join(missing)}")
     before = [by_year[w.start[0] - 1] for w in windows]
     after = [by_year[w.end[0] + 1] for w in windows]
     ks = ks_two_sample(before, after)

@@ -819,6 +819,47 @@ class TestByteOrderMark:
             assert (outs["bom"] / n).read_bytes() == (outs["plain"] / n).read_bytes()
 
 
+class TestBadInputBytes:
+    """A field over the csv module's size limit, or a byte that is not
+    UTF-8, fails its record's own line in each input file (exit 2)."""
+
+    DIGITS = b'"' + b"1" * 140_000 + b'"'
+    LIMIT = "field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("name, line, record, message", [
+        ("trade", 1, DIGITS, LIMIT),
+        ("trade", 3, b"2000,CAN,USA," + DIGITS, LIMIT),
+        ("trade", 3, b"2000,C\xc9N,USA,3", "bad country code 'C\\udcc9N'"),
+        ("gdp", 3, b"2000,CAN," + DIGITS, LIMIT),
+        ("gdp", 3, b"2000,C\xc9N,3", "bad country code 'C\\udcc9N'"),
+        ("recessions", 3, b"x," + DIGITS + b",2000-12", LIMIT),
+        ("recessions", 3, b"x,2000-\xc901,2000-12",
+         "expected YYYY-MM, got '2000-\\udcc901'"),
+    ], ids=["trade-header-field-limit", "trade-field-limit", "trade-not-utf-8",
+            "gdp-field-limit", "gdp-not-utf-8", "recessions-field-limit",
+            "recessions-not-utf-8"])
+    def test_parse_error_names_the_line(self, name, line, record, message,
+                                        fixtures_dir, tmp_path, capsys):
+        paths = {}
+        for fixture in ("trade", "gdp", "recessions"):
+            paths[fixture] = fixtures_dir / f"{fixture}.csv"
+        lines = paths[name].read_bytes().split(b"\n")
+        lines.insert(line - 1, record)
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        assert run("pipeline", *(f"--{k}={v}" for k, v in paths.items()),
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+        assert not out.exists()
+
+    def test_recession_label_keeps_a_bad_byte(self, tmp_path):
+        path = tmp_path / "recessions.csv"
+        path.write_bytes(b"label,start,end\nC\xc9N,2000-01,2000-12\n")
+        [window] = cli.load(ingest.parse_recessions, path)
+        assert window.label == "C\udcc9N"
+
+
 class TestEpicenterText:
     @pytest.fixture
     def ala_inputs(self, tmp_path):
@@ -1088,8 +1129,8 @@ class TestWithoutScipy:
     ], ids=lambda argv: argv[0])
     def test_recovery_fit_without_scipy_writes_nothing(self, argv, fixtures_dir,
                                                        tmp_path, package_env):
-        # the fit's scipy is loaded before the first write, and its
-        # ImportError is an input error, not a traceback
+        # the fit runs before the first write, and its ImportError is an
+        # input error, not a traceback
         argv = [str(fixtures_dir / a) if a.endswith(".csv") else a for a in argv]
         out = tmp_path / "out"
         proc = subprocess.run(
@@ -1103,3 +1144,27 @@ class TestWithoutScipy:
         assert len(errors) == 1 and "scipy" in errors[0], proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv, written", [
+        (["recover", "--gdp", "gdp.csv", "--year", "2000"], ["shock_trace_2000.csv"]),
+        (["pipeline", "--gdp", "gdp.csv", "--recessions", "recessions.csv"],
+         ["ccc_series.csv", "recessions_test.json", "total_trade.csv",
+          "trade_gdp_ratio.csv"]),
+    ], ids=["recover", "pipeline"])
+    def test_no_convergence_before_the_fit_writes_as_with_scipy(
+            self, argv, written, fixtures_dir, tmp_path, package_env):
+        # the shock phase stops after 3 steps, before any fit loads scipy:
+        # exit 4 and the same files as with scipy
+        argv = [str(fixtures_dir / a) if a.endswith(".csv") else a for a in argv]
+        argv += ["--trade", str(fixtures_dir / "trade.csv"), "--max-steps", "3"]
+        blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.BLOCKED, *argv, "--out", str(blocked)],
+            capture_output=True, text=True, env=package_env,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert run(*argv, "--out", normal) == 4
+        assert sorted(p.name for p in blocked.iterdir()) == written
+        assert sorted(p.name for p in normal.iterdir()) == written
+        for name in written:
+            assert (blocked / name).read_bytes() == (normal / name).read_bytes()

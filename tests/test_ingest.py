@@ -545,12 +545,15 @@ def test_parse_trade_stream_that_cannot_seek():
     assert err.value.line == 2
 
 
-def test_fixture_script_regenerates_committed_files(fixtures_dir):
+def test_fixture_script_regenerates_committed_files(fixtures_dir, tmp_path):
+    # the script's own main(), writing into tmp_path in place of tests/fixtures
     script = pathlib.Path(__file__).parents[1] / "scripts" / "make_fixtures.py"
     spec = importlib.util.spec_from_file_location("make_fixtures", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    files = module.fixture_files()
-    assert sorted(files) == ["gdp.csv", "recessions.csv", "trade.csv"]
-    for name, text in files.items():
-        assert text == (fixtures_dir / name).read_text()
+    module.OUT = tmp_path
+    module.main()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["gdp.csv", "recessions.csv", "trade.csv"]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes()

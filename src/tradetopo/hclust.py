@@ -99,12 +99,14 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     are exactly the suffix of f that starts at pair (first, first + 1),
     and one argmin over it finds the merge. A second argmin past that hit
     tells whether the minimum is tied; a tie scans every hit. The update
-    adds the same two products whichever slot holds which cluster, so the
-    tree does not depend on the slot layout. It goes into one of the two
-    slots, and the other is freed by moving slot first into it, after
-    which first advances. The distances are scaled by the power of two
-    that brings the largest below 1, and the heights are scaled back;
-    that is exact unless a nonzero distance lies below max(d) * 2**-1022.
+    gathers both clusters' rows through views of the pair index, scales
+    them in place by the cluster sizes and adds them: the same two
+    products whichever slot holds which cluster, so the tree does not
+    depend on the slot layout. It goes into one slot, and the other is
+    freed by moving slot first into it, after which first advances. The
+    distances are scaled by the power of two that brings the largest
+    below 1, and the heights are scaled back; that is exact unless a
+    nonzero distance lies below max(d) * 2**-1022.
     """
     n = d.n
     if n < 2:
@@ -115,22 +117,21 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
     f = np.append(d.values, np.inf)  # the one working copy
     np.add(np.ldexp(f, -e, out=f), 0.0, out=f)
     rows, cols, _, index = pair_tables(n)
+    rows_of = list(index)  # row k: the pair positions of slot k, a view
     ids = list(range(n))  # node id of each slot
     sizes = [1.0] * n  # floats: the update multiplies float64 rows by them
     merges = []
     # distances below 1 keep every update below n: none overflows
     for first in range(n - 1):
         start = first * (2 * n - first - 1) // 2
-        live = f[start:]  # the live pairs, then the spare: rest is never empty
-        p = live.argmin().item()
-        height = live.item(p)
-        # argmin returns the first of equal minima: a tie lies past p
-        rest = live[p + 1 :]
-        if rest[rest.argmin()] != height:
-            a, b = rows.item(start + p), cols.item(start + p)
-            left, right = min(ids[a], ids[b]), max(ids[a], ids[b])
+        p = start + int(f[start:].argmin())
+        height = f.item(p)
+        # a tie lies past p (argmin finds the first minimum), then the spare
+        if f.item(p + 1 + int(f[p + 1 :].argmin())) != height:
+            a, b = rows.item(p), cols.item(p)
+            left, right = (ids[a], ids[b]) if ids[a] < ids[b] else (ids[b], ids[a])
         else:
-            hits = (live == height).nonzero()[0] + start
+            hits = (f[start:] == height).nonzero()[0] + start
             ends, others, node = rows[hits], cols[hits], np.array(ids)
             lo = np.minimum(node[ends], node[others])
             hi = np.maximum(node[ends], node[others])
@@ -140,16 +141,20 @@ def average_linkage(d: CondensedDistances) -> Dendrogram:
             a, b = int(ends[t]), int(others[t])
         new_size = sizes[a] + sizes[b]
         # row k - first: the merged cluster's distance to slot k
-        ia, ib = index[a, first:], index[b, first:]
+        ia, ib = rows_of[a][first:], rows_of[b][first:]
         # a product by a size of 1.0 would change no bit, so it is skipped
-        row = f[ia] if sizes[a] == 1.0 else f[ia] * sizes[a]
-        row += f[ib] if sizes[b] == 1.0 else f[ib] * sizes[b]
+        row, other = f[ia], f[ib]
+        if sizes[a] != 1.0:
+            row *= sizes[a]
+        if sizes[b] != 1.0:
+            other *= sizes[b]
+        row += other
         row /= new_size
         if a == first:  # the merged cluster keeps slot b, first is freed
             a, b, ia, ib = b, a, ib, ia
         f[ia] = row
         if b != first:
-            f[ib[1:]] = f[index[first, first + 1 :]]
+            f[ib] = f[rows_of[first][first:]]  # (first, b) swaps with the spare
             ids[b], sizes[b] = ids[first], sizes[first]
             f[-1] = np.inf  # the move wrote pair (first, b) there
         ids[a], sizes[a] = n + first, new_size

@@ -251,8 +251,8 @@ def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
     precision despite the truncated tail. The refinement is MINPACK's
     lmdif called as scipy.optimize.curve_fit(..., maxfev=10_000) calls
     it, so the fit is curve_fit's to the bit. If lmdif stops without
-    converging, the log-linear seed is returned; a non-finite point of W
-    raises ValueError, as in curve_fit.
+    converging, the log-linear seed is returned with a warning; a
+    non-finite point of W raises ValueError, as in curve_fit.
     """
     _check_steady(trace)
     eps = 1e-12
@@ -283,10 +283,10 @@ def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
     params, info = _lmdif()(residuals, p0, (), 0, 1.49012e-08, 1.49012e-08,
                             0.0, 10_000, np.finfo(float).eps, 100, None)
     if info in (1, 2, 3, 4):
-        y_inf, a, lam = (float(v) for v in params)
-    else:
-        y_inf, a, lam = y_end, a0, lam0
-    return RecoveryFit(lam=lam, a=a, y_inf=y_inf)
+        y_inf, a, lam = params.tolist()
+        return RecoveryFit(lam=lam, a=a, y_inf=y_inf)
+    log.warning("recovery fit: lmdif info %d; using the log-linear seed", info)
+    return RecoveryFit(lam=lam0, a=a0, y_inf=y_end)
 
 
 @functools.cache

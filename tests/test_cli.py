@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import helpers
 from tradetopo import cli, errors, ingest, metrics, shockprop
 
 TRADE3 = """year,reporter,partner,value_usd
@@ -474,6 +476,30 @@ class TestPipeline:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir()}
         assert digests == self.GOLDEN
+
+    def test_ccc_series_equals_composed_oracles(self, fixtures_dir, tmp_path):
+        # each year from the definitions: summed flows, M = X + X^T with a
+        # zero diagonal, d = M* - M, the delete oracle's tree, its brute
+        # cophenetic and the lexsort CCC
+        with open(fixtures_dir / "trade.csv", newline="") as fh:
+            records = list(csv.reader(fh))[1:]
+        rows = [(int(y), r, p, float(v)) for y, r, p, v in records]
+        expected = [["year", "ccc", "n_countries"]]
+        for year in sorted({row[0] for row in rows}):
+            countries, x = helpers.brute_directed_flows(rows, year)
+            m = x + x.T
+            np.fill_diagonal(m, 0.0)
+            n = len(countries)
+            upper = m[np.triu_indices(n, k=1)]
+            d = upper.max() - upper
+            merges = helpers.delete_average_linkage(n, d)
+            c = helpers.brute_cophenetic(n, [mg[:3] for mg in merges])
+            expected.append([str(year), f"{helpers.lexsort_ccc(d, c):.12g}", str(n)])
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out) == 0
+        with open(out / "ccc_series.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == expected
+        assert len(expected) == 13
 
     def test_each_stage_runs_once(self, fixtures_dir, tmp_path, monkeypatch):
         calls = {}

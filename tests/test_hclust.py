@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,20 @@ class TestAverageLinkage:
     def test_too_few(self):
         with pytest.raises(errors.Degenerate, match="need at least 2 items"):
             hclust.average_linkage(hclust.CondensedDistances(1, np.zeros(0)))
+
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_keeps_one_working_copy(self, n):
+        # the working copy is the one allocation as large as the distances:
+        # a second would take the peak past twice their size
+        d = gravity_chain(n)
+        hclust.pair_tables(n)
+        tracemalloc.start()
+        try:
+            hclust.average_linkage(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * d.values.nbytes
 
     def test_huge_update_same_as_scaled(self):
         # unscaled, the merge of two pairs would add 2 * 8.5e307 to

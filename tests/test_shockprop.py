@@ -528,12 +528,17 @@ class TestFitRecoveryEqualsCurveFit:
         w = y_inf * (1.0 - a * np.exp(-lam * t) * jitter)
         assert fit_tuple(w) == curve_fit_oracle(w)
 
-    def test_no_convergence_returns_seed(self, monkeypatch):
+    def test_no_convergence_returns_seed(self, monkeypatch, caplog):
+        # MINPACK's info 5: the call limit was reached without convergence
         w = 100 - 5 * np.exp(-0.3 * np.arange(21))
         monkeypatch.setattr(shockprop, "_lmdif",
                             lambda: lambda func, x0, *args: (x0 * 2, 5))
+        with caplog.at_level("WARNING"):
+            fit = fit_tuple(w)
         y_end, a0, lam0 = loglinear_seed(w)
-        assert fit_tuple(w) == (lam0, a0, y_end)
+        assert fit == (lam0, a0, y_end)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "recovery fit: lmdif info 5; using the log-linear seed")]
 
     def test_nan_in_fitted_points(self):
         w = 100 - 5 * np.exp(-0.3 * np.arange(21))

@@ -24,14 +24,9 @@ class MissingGdp(TradeTopoError):
 
 class Degenerate(TradeTopoError):
     """No usable data or an undefined result: an empty year, too few items,
-    zero variance, an unknown epicenter, a trace that did not converge."""
+    zero variance, an unknown epicenter."""
 
 
 class NoConvergence(TradeTopoError):
-    """Raised when max_steps is exhausted; carries the partial trace and
-    the phase that stopped ("shock" or "recovery")."""
-
-    def __init__(self, message, trace=None, phase=None):
-        super().__init__(message)
-        self.trace = trace
-        self.phase = phase
+    """Raised when max_steps is exhausted; the message starts with the
+    phase that stopped ("shock" or "recovery")."""

@@ -76,7 +76,6 @@ class ShockConfig:
 class SimulationTrace:
     countries: tuple[str, ...]
     steps: list[np.ndarray]  # GDP vector per time step, t = 0, 1, ...
-    converged: bool
     final_state: EconomyState | None = field(default=None, repr=False)
 
     @property
@@ -151,10 +150,11 @@ def _iterate(prev: EconomyState, i: int, y_i: float, config: ShockConfig,
     and iterate from prev, which holds X(t-1) and Y(t-1), one step call
     per step, until the max relative change |Y(t+1) - Y(t)| / Y(t) that
     step returns is below the tolerance; the trace starts with Y(t-1) and
-    Y(t), and the final state holds the last X(t) and Y(t+1). NoConvergence
-    reports the last step's change. Y(t) must be finite and > 0 on entry,
-    as step needs; every later Y(t) is a Y(t+1) that passed step's domain
-    check."""
+    Y(t), and the final state holds the last X(t) and Y(t+1). After
+    max_steps steps it raises NoConvergence, whose message starts with the
+    phase and reports the last step's change. Y(t) must be finite and > 0
+    on entry, as step needs; every later Y(t) is a Y(t+1) that passed
+    step's domain check."""
     y = prev.y.copy()
     y[i] = y_i
     if not (np.minimum.reduce(y) > 0 and np.maximum.reduce(y) < np.inf):
@@ -163,23 +163,16 @@ def _iterate(prev: EconomyState, i: int, y_i: float, config: ShockConfig,
     x, y_prev, p = prev.x, prev.y, prev.p
     ex = np.add.reduce(x, 1)
     tol = config.tolerance
-    converged = False
     for _ in range(config.max_steps):
         x, ex, y_next, delta = step(x, ex, y_prev, y, p)
         steps.append(y_next)
-        converged = bool(delta < tol)
         y_prev, y = y, y_next
-        if converged:
-            break
-    trace = SimulationTrace(prev.countries, steps, converged,
-                            EconomyState(prev.countries, y, x, p))
-    if not converged:
-        raise NoConvergence(
-            f"no steady state after {config.max_steps} steps: max relative"
-            f" change {delta:.2g} >= tolerance {tol:g}", trace=trace,
-            phase=phase,
-        )
-    return trace
+        if delta < tol:
+            return SimulationTrace(prev.countries, steps,
+                                   EconomyState(prev.countries, y, x, p))
+    raise NoConvergence(
+        f"{phase}: no steady state after {config.max_steps} steps: max"
+        f" relative change {delta:.2g} >= tolerance {tol:g}")
 
 
 def run_to_steady(initial: EconomyState, config: ShockConfig) -> SimulationTrace:
@@ -212,14 +205,8 @@ def shock_and_recover(state: EconomyState, config: ShockConfig):
     return shock, recovery, fit_recovery(recovery)
 
 
-def _check_steady(trace: SimulationTrace):
-    if not trace.converged:
-        raise Degenerate("trace did not reach steady state")
-
-
 def world_gdp_change(trace: SimulationTrace) -> float:
     """Relative change of total world GDP between the first and last step."""
-    _check_steady(trace)
     w = trace.world_gdp
     return float((w[-1] - w[0]) / w[0])
 
@@ -227,7 +214,6 @@ def world_gdp_change(trace: SimulationTrace) -> float:
 def impact_ratio(trace: SimulationTrace, epicenter: str) -> float:
     """F = (% change of world GDP excluding the epicenter) / (% change of
     the epicenter's GDP), measured first-to-last step."""
-    _check_steady(trace)
     if len(trace.countries) < 2:
         raise Degenerate("impact ratio needs at least 2 countries")
     i = _country_index(trace.countries, epicenter)
@@ -254,7 +240,6 @@ def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
     converging, the log-linear seed is returned with a warning; a
     non-finite point of W raises ValueError, as in curve_fit.
     """
-    _check_steady(trace)
     eps = 1e-12
     w = trace.world_gdp
     y_end = float(w[-1])
@@ -301,13 +286,13 @@ def _lmdif():
     name = "scipy.optimize._minpack"
     if name not in sys.modules:
         spec = importlib.util.find_spec("scipy")
+        extensions = (importlib.machinery.ExtensionFileLoader,
+                      importlib.machinery.EXTENSION_SUFFIXES)
         for directory in spec.submodule_search_locations if spec else ():
-            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-                path = os.path.join(directory, "optimize", "_minpack" + suffix)
-                if os.path.isfile(path):
-                    loader = importlib.machinery.ExtensionFileLoader(name, path)
-                    module = importlib.util.module_from_spec(
-                        importlib.util.spec_from_loader(name, loader))
-                    loader.exec_module(module)
-                    return module._lmdif
+            found = importlib.machinery.FileFinder(
+                os.path.join(directory, "optimize"), extensions).find_spec(name)
+            if found:
+                module = importlib.util.module_from_spec(found)
+                found.loader.exec_module(module)
+                return module._lmdif
     return importlib.import_module(name)._lmdif

@@ -226,13 +226,16 @@ class TestShock:
         summary = json.loads((out / "shock_summary_2000.json").read_text())
         assert summary["impact_ratio"] == 0.0
 
-    def test_max_steps_exit_4_with_partial_trace(self, small_inputs, tmp_path):
+    def test_max_steps_exit_4_with_partial_trace(self, small_inputs, tmp_path,
+                                                 capsys):
+        # a stalled run writes nothing, its partial trace included
         trade, gdp = small_inputs
         out = tmp_path / "out"
         assert run("shock", "--trade", trade, "--gdp", gdp, "--year", 2000,
                    "--epicenter", "AAA", "--max-steps", 1, "--out", out) == 4
-        assert (out / "shock_trace_2000.csv").exists()
-        assert not (out / "shock_summary_2000.json").exists()
+        assert "error: shock: no steady state after 1 steps" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestRecover:
@@ -253,30 +256,24 @@ class TestRecover:
                    "--gdp", fixtures_dir / "gdp.csv", "--year", year,
                    "--max-steps", max_steps, "--out", out)
 
-    def trace_steps(self, path):
-        """The GDP vectors of a written trace, one list per step."""
-        steps = {}
-        for line in path.read_text().splitlines()[1:]:
-            step, _, gdp = line.split(",")
-            steps.setdefault(int(step), []).append(float(gdp))
-        return [steps[t] for t in sorted(steps)]
-
-    def test_shock_phase_stalls(self, fixtures_dir, tmp_path):
+    def test_shock_phase_stalls(self, fixtures_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert self.recover_fixture(fixtures_dir, out, 2000, 1) == 4
-        assert sorted(p.name for p in out.iterdir()) == ["shock_trace_2000.csv"]
+        assert "error: shock: no steady state after 1 steps" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
-    def test_recovery_phase_stalls(self, fixtures_dir, tmp_path):
+    def test_recovery_phase_stalls(self, fixtures_dir, tmp_path, capsys):
         # the 2005 shock converges in 18 steps, its recovery needs 19
         shock_out, out = tmp_path / "shock", tmp_path / "out"
         assert run("shock", "--trade", fixtures_dir / "trade.csv",
                    "--gdp", fixtures_dir / "gdp.csv", "--year", 2005,
                    "--max-steps", 18, "--out", shock_out) == 0
+        capsys.readouterr()
         assert self.recover_fixture(fixtures_dir, out, 2005, 18) == 4
-        assert sorted(p.name for p in out.iterdir()) == ["recovery_trace_2005.csv"]
-        shock_steps = self.trace_steps(shock_out / "shock_trace_2005.csv")
-        recovery_steps = self.trace_steps(out / "recovery_trace_2005.csv")
-        assert recovery_steps[0] == shock_steps[-1] != shock_steps[0]
+        assert "error: recovery: no steady state after 18 steps" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestScenarioGoldenBytes:
@@ -294,13 +291,6 @@ class TestScenarioGoldenBytes:
             "7c0aa16ff8967506ec3a566722108d8e0e178d6a83abdb7dc386024b33401127",
         "recover":
             "0efa1e3c68ef0893b7c0f6f1e0670ac515b2868a1b91895ebc99776fdc5e5e2c",
-    }
-    # the partial traces of TestRecover's two stalled runs
-    STALLED = {
-        (2000, 1): ("shock_trace_2000.csv",
-                    "7087b10146da08bb07a46553014819768df06e7eaa7af2fe78f37d3f29e27078"),
-        (2005, 18): ("recovery_trace_2005.csv",
-                     "8e9991d8453ea57b8399168f40fda3be7b45b2f9b36bc6836fdd030de6569dd2"),
     }
 
     def run_fixture(self, fixtures_dir, out, command, *options):
@@ -321,13 +311,6 @@ class TestScenarioGoldenBytes:
             f"{phase}_trace_2003.csv": self.TRACE[command],
             f"{phase}_summary_2003.json": self.SUMMARY[command],
         }
-
-    @pytest.mark.parametrize("year, max_steps", STALLED)
-    def test_stalled_trace_bytes(self, year, max_steps, fixtures_dir, tmp_path):
-        out = tmp_path / "out"
-        assert self.run_fixture(fixtures_dir, out, "recover", "--year", year,
-                                "--max-steps", max_steps) == 4
-        assert self.digests(out) == dict([self.STALLED[year, max_steps]])
 
 
 class TestRecessionsTest:
@@ -654,6 +637,47 @@ class TestPipeline:
             capsys.readouterr().err)
         self.check_no_fig4(out, "ccc_series.csv", "total_trade.csv",
                            "recessions_test.json")
+
+    # the child keeps every log record, as a test's log capture does
+    PEAKS = ("import json, logging, sys, tracemalloc\n"
+             "from tradetopo.cli import main\n"
+             "records = []\n"
+             "keep = logging.Handler()\n"
+             "keep.emit = records.append\n"
+             "logging.getLogger().addHandler(keep)\n"
+             "peaks = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    tracemalloc.start()\n"
+             "    peaks.append((main(argv), tracemalloc.get_traced_memory()[1]))\n"
+             "    tracemalloc.stop()\n"
+             "print(json.dumps(peaks))\n")
+
+    def test_stalled_years_are_not_kept(self, fixtures_dir, tmp_path,
+                                        package_env):
+        # GDP equal to exports makes P = 1, and no year's shock converges.
+        # Each stalled year's GDP vectors must be freed before the next
+        # year runs, its log record kept or not: the peak over all 12 years
+        # stays below twice the peak of one year's run, which holds one
+        # year's 5,000-step trace
+        with open(fixtures_dir / "trade.csv") as f:
+            panel = ingest.parse_trade_csv(f)
+        rows = ["year,country,gdp_usd"]
+        for year in panel.years():
+            countries, x = ingest.directed_flows(panel, year)
+            rows += [f"{year},{c},{v!r}"
+                     for c, v in zip(countries, x.sum(axis=1).tolist())]
+        gdp = tmp_path / "gdp.csv"
+        gdp.write_text("\n".join(rows) + "\n")
+        argv = ["pipeline", f"--trade={fixtures_dir / 'trade.csv'}",
+                f"--gdp={gdp}", "--max-steps=5000", f"--out={tmp_path / 'out'}"]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PEAKS,
+             json.dumps([[*argv, "--years=2000:2000"], argv])],
+            capture_output=True, text=True, env=package_env)
+        assert proc.returncode == 0, proc.stderr
+        (one_code, one_year), (all_code, all_years) = json.loads(proc.stdout)
+        assert (one_code, all_code) == (4, 4)
+        assert all_years < 2 * one_year
 
 
 class TestExitCodes:
@@ -1171,16 +1195,19 @@ class TestWithoutScipy:
         assert "Traceback" not in proc.stderr
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("argv, written", [
-        (["recover", "--gdp", "gdp.csv", "--year", "2000"], ["shock_trace_2000.csv"]),
+    @pytest.mark.parametrize("argv, error, written", [
+        (["recover", "--gdp", "gdp.csv", "--year", "2000"],
+         "error: shock: no steady state after 3 steps", []),
         (["pipeline", "--gdp", "gdp.csv", "--recessions", "recessions.csv"],
+         "error: shock scenario failed in all 12 years",
          ["ccc_series.csv", "recessions_test.json", "total_trade.csv",
           "trade_gdp_ratio.csv"]),
     ], ids=["recover", "pipeline"])
     def test_no_convergence_before_the_fit_writes_as_with_scipy(
-            self, argv, written, fixtures_dir, tmp_path, package_env):
+            self, argv, error, written, fixtures_dir, tmp_path, package_env,
+            capsys):
         # the shock phase stops after 3 steps, before any fit loads scipy:
-        # exit 4 and the same files as with scipy
+        # exit 4, the same error and the same files as with scipy
         argv = [str(fixtures_dir / a) if a.endswith(".csv") else a for a in argv]
         argv += ["--trade", str(fixtures_dir / "trade.csv"), "--max-steps", "3"]
         blocked, normal = tmp_path / "blocked", tmp_path / "normal"
@@ -1190,7 +1217,8 @@ class TestWithoutScipy:
         )
         assert proc.returncode == 4, proc.stderr
         assert run(*argv, "--out", normal) == 4
-        assert sorted(p.name for p in blocked.iterdir()) == written
-        assert sorted(p.name for p in normal.iterdir()) == written
+        assert error in proc.stderr and error in capsys.readouterr().err
+        for out in (blocked, normal):
+            assert sorted(p.name for p in out.glob("*")) == written
         for name in written:
             assert (blocked / name).read_bytes() == (normal / name).read_bytes()

@@ -213,9 +213,8 @@ class TestStep:
         # and the whole iteration, entered from the same state
         start = EconomyState(("C00", "C01"), y_prev, x, p)
         cfg = ShockConfig(epicenter="C01")
-        trace = check_run(lambda: shockprop.run_recovery(start, 1000.0, cfg),
-                          start, y, cfg)
-        assert trace.converged
+        assert check_run(lambda: shockprop.run_recovery(start, 1000.0, cfg),
+                         start, y, cfg) is not None
 
     @RULE
     def test_gdp_falls_to_exactly_zero(self, rule):
@@ -235,7 +234,6 @@ class TestRunToSteady:
     def test_zero_trade_converges_immediately(self):
         st = zero_trade_state()
         trace = shockprop.run_to_steady(st, ShockConfig(epicenter="C00"))
-        assert trace.converged
         assert len(trace.steps) == 3  # pre-shock, shock, confirming step
         changed = trace.steps[-1] != trace.steps[0]
         assert list(changed) == [True, False, False, False]
@@ -243,7 +241,6 @@ class TestRunToSteady:
     def test_two_country_matches_independent_oracle(self):
         trace = shockprop.run_to_steady(two_country_state(), CFG)
         us, ws = helpers.two_country_shock_oracle(100.0, 100.0, 10.0, 0.1, 0.054)
-        assert trace.converged
         assert trace.steps[-1][0] == pytest.approx(us[-1], rel=1e-9)
         assert trace.steps[-1][1] == pytest.approx(ws[-1], rel=1e-9)
 
@@ -256,12 +253,11 @@ class TestRunToSteady:
         cfg = ShockConfig(
             epicenter="USA", shock_fraction=0.054, tolerance=0.0, max_steps=50
         )
-        with pytest.raises(errors.NoConvergence) as err:
-            shockprop.run_to_steady(two_country_state(), cfg)
-        assert err.value.trace is not None
-        assert not err.value.trace.converged
-        assert len(err.value.trace.steps) == 52
-        assert err.value.phase == "shock"
+        with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
+            with pytest.raises(errors.NoConvergence,
+                               match="^shock: no steady state after 50 steps"):
+                shockprop.run_to_steady(two_country_state(), cfg)
+        assert spy.call_count == 50
 
     def test_determinism(self):
         t1 = shockprop.run_to_steady(two_country_state(), CFG)
@@ -312,11 +308,6 @@ class TestWorldGdpChange:
             expected, rel=1e-9
         )
 
-    def test_not_converged(self):
-        trace = SimulationTrace(("A",), [np.array([1.0])], converged=False)
-        with pytest.raises(errors.Degenerate, match="did not reach steady state"):
-            shockprop.world_gdp_change(trace)
-
 
 class TestImpactRatio:
     def test_zero_trade_is_zero(self):
@@ -332,18 +323,8 @@ class TestImpactRatio:
             expected, rel=1e-9
         )
 
-    def test_not_converged(self):
-        trace = SimulationTrace(
-            ("AAA", "BBB"), [np.array([100.0, 50.0]), np.array([90.0, 50.0])],
-            converged=False,
-        )
-        with pytest.raises(errors.Degenerate, match="did not reach steady state"):
-            shockprop.impact_ratio(trace, "AAA")
-
     def test_single_country_world(self):
-        trace = SimulationTrace(
-            ("AAA",), [np.array([100.0]), np.array([90.0])], converged=True
-        )
+        trace = SimulationTrace(("AAA",), [np.array([100.0]), np.array([90.0])])
         with pytest.raises(errors.Degenerate, match="needs at least 2 countries"):
             shockprop.impact_ratio(trace, "AAA")
 
@@ -351,7 +332,6 @@ class TestImpactRatio:
         trace = SimulationTrace(
             ("AAA", "BBB"),
             [np.array([100.0, 50.0]), np.array([100.0, 50.0])],
-            converged=True,
         )
         with pytest.raises(errors.Degenerate, match="epicenter GDP did not change"):
             shockprop.impact_ratio(trace, "AAA")
@@ -370,7 +350,7 @@ class TestWorldGdp:
         # n around 128, the block size of numpy's pairwise summation
         rng = np.random.default_rng(seed)
         steps = list(rng.lognormal(20.0, 2.0, (n_steps, n)))
-        trace = SimulationTrace(tuple(f"C{i}" for i in range(n)), steps, True)
+        trace = SimulationTrace(tuple(f"C{i}" for i in range(n)), steps)
         want = np.array([y.sum() for y in steps])
         assert trace.world_gdp.tobytes() == want.tobytes()
 
@@ -381,7 +361,6 @@ class TestRunRecovery:
         cfg = ShockConfig(epicenter="C00")
         shock = shockprop.run_to_steady(st, cfg)
         rec = shockprop.run_recovery(shock.final_state, float(st.y[0]), cfg)
-        assert rec.converged
         assert rec.world_gdp[-1] == pytest.approx(st.y.sum(), rel=1e-12)
 
     def test_two_country_monotone_recovery(self):
@@ -398,16 +377,18 @@ class TestRunRecovery:
         rec = shockprop.run_recovery(
             steady, float(steady.y[steady.index("USA")]), CFG
         )
-        assert rec.converged
         assert np.allclose(rec.world_gdp, rec.world_gdp[0])
 
     def test_no_convergence_names_its_phase(self):
         shock = shockprop.run_to_steady(two_country_state(), CFG)
         cfg = ShockConfig(epicenter="USA", tolerance=0.0, max_steps=5)
-        with pytest.raises(errors.NoConvergence) as err:
-            shockprop.run_recovery(shock.final_state, 100.0, cfg)
-        assert err.value.phase == "recovery"
-        assert np.array_equal(err.value.trace.steps[0], shock.final_state.y)
+        with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
+            with pytest.raises(errors.NoConvergence,
+                               match="^recovery: no steady state after 5 steps"):
+                shockprop.run_recovery(shock.final_state, 100.0, cfg)
+        # the first step starts from the shock's steady state
+        assert np.array_equal(spy.call_args_list[0].args[2],
+                              shock.final_state.y)
 
     @RULE
     @pytest.mark.parametrize("gdp", [0.0, -1.0, np.inf, np.nan])
@@ -423,9 +404,7 @@ class TestRunRecovery:
 
 class TestFitRecovery:
     def make_trace(self, w):
-        return SimulationTrace(
-            ("A",), [np.array([v]) for v in w], converged=True
-        )
+        return SimulationTrace(("A",), [np.array([v]) for v in w])
 
     def test_recovers_generating_model(self):
         t = np.arange(21)
@@ -448,11 +427,6 @@ class TestFitRecovery:
         shock = shockprop.run_to_steady(st, CFG)
         rec = shockprop.run_recovery(shock.final_state, 100.0, CFG)
         assert shockprop.fit_recovery(rec).lam > 0
-
-    def test_not_converged(self):
-        trace = SimulationTrace(("A",), [np.array([1.0])], converged=False)
-        with pytest.raises(errors.Degenerate, match="did not reach steady state"):
-            shockprop.fit_recovery(trace)
 
 
 def recovery_trace(state, cfg):
@@ -490,7 +464,7 @@ def curve_fit_oracle(w):
 
 def fit_tuple(w):
     fit = shockprop.fit_recovery(
-        SimulationTrace(("A",), [np.array([v]) for v in w], converged=True))
+        SimulationTrace(("A",), [np.array([v]) for v in w]))
     return fit.lam, fit.a, fit.y_inf
 
 
@@ -552,7 +526,7 @@ class TestFitRecoveryEqualsCurveFit:
         "from tradetopo import shockprop\n"
         "from tradetopo.shockprop import SimulationTrace\n"
         "w = 100 - 5 * np.exp(-0.3 * np.arange(21)) + 1e-3 * np.sin(np.arange(21))\n"
-        "trace = SimulationTrace(('A',), [np.array([v]) for v in w], True)\n"
+        "trace = SimulationTrace(('A',), [np.array([v]) for v in w])\n"
         "print(repr(shockprop.fit_recovery(trace).lam))\n"
         "print('scipy.optimize' in sys.modules)\n"
         "{after}\n"
@@ -586,7 +560,6 @@ class TestShockAndRecover:
             want_rec = shockprop.run_recovery(
                 want_shock.final_state, float(st.y[st.index("USA")]), CFG)
             for got, want in ((shock, want_shock), (rec, want_rec)):
-                assert got.converged and want.converged
                 assert np.array_equal(got.steps, want.steps)
             assert fit == shockprop.fit_recovery(want_rec)
             i = st.index("USA")
@@ -599,15 +572,20 @@ class TestShockAndRecover:
                                             ShockConfig(epicenter="CHN"))
         assert spy.call_count == 0
 
-    @pytest.mark.parametrize("max_steps, phase", [(1, "shock"), (18, "recovery")])
+    @pytest.mark.parametrize("max_steps, phase", [
+        (1, "shock"), (17, "shock"), (18, "recovery"), (19, None)])
     def test_no_convergence_names_its_phase(self, max_steps, phase,
                                             fixtures_dir):
-        # the fixture's 2005 shock converges in 18 steps, its recovery needs 19
+        # the fixture's 2005 shock converges in 18 steps, its recovery in 19
         st = fixture_states(fixtures_dir)[2005 - 1995]
         cfg = ShockConfig(epicenter="USA", max_steps=max_steps)
-        with pytest.raises(errors.NoConvergence) as err:
+        if phase is None:
+            shock, rec, _ = shockprop.shock_and_recover(st, cfg)
+            assert (len(shock.steps), len(rec.steps)) == (18 + 2, 19 + 2)
+            return
+        with pytest.raises(errors.NoConvergence,
+                           match=f"^{phase}: no steady state after {max_steps} steps"):
             shockprop.shock_and_recover(st, cfg)
-        assert err.value.phase == phase
 
 
 class TestStructureResponse:
@@ -637,12 +615,19 @@ class TestStructureResponse:
 def check_run(run, start, y, cfg):
     """Call run(), one shock or recovery iteration from X(t-1) = start.x,
     Y(t-1) = start.y and Y(t) = y, and check it bit for bit against
-    helpers.reference_shock_trace, with one shockprop.step call per step.
-    Returns its trace, or None when both left the positive domain."""
+    helpers.reference_shock_trace, with one shockprop.step call per step:
+    the X(t) and Y(t+1) each step call returns, and the trace of a run
+    that converges. Returns that trace, or None when both left the
+    positive domain or both stalled."""
     ys, x_ref, outcome = helpers.reference_shock_trace(
         start.x, start.y, y, start.p, tol=cfg.tolerance,
         max_steps=cfg.max_steps)
-    with mock.patch.object(shockprop, "step", wraps=shockprop.step) as spy:
+    step, returned = shockprop.step, []
+
+    def recorded_step(*args):
+        returned.append(step(*args))
+        return returned[-1]
+    with mock.patch.object(shockprop, "step", side_effect=recorded_step) as spy:
         if outcome == "degenerate":
             with pytest.raises(errors.Degenerate):
                 run()
@@ -651,11 +636,18 @@ def check_run(run, start, y, cfg):
         if outcome == "converged":
             trace = run()
         else:
-            with pytest.raises(errors.NoConvergence) as err:
+            with pytest.raises(errors.NoConvergence):
                 run()
-            trace = err.value.trace
+            trace = None
     assert spy.call_count == len(ys)
-    assert trace.converged == (outcome == "converged")
+    _, _, y_prev, y_t, _ = spy.call_args_list[0].args
+    assert np.array_equal(y_prev, start.y)
+    assert np.array_equal(y_t, y)
+    for (_, _, got, _), want in zip(returned, ys, strict=True):
+        assert np.array_equal(got, want)
+    assert np.array_equal(returned[-1][0], x_ref)
+    if trace is None:
+        return None
     assert len(trace.steps) == len(ys) + 2
     assert np.array_equal(trace.steps[0], start.y)
     assert np.array_equal(trace.steps[1], y)
@@ -677,7 +669,7 @@ def check_against_reference(initial, cfg):
     shocked[i] *= 1.0 - cfg.shock_fraction
     shock = check_run(lambda: shockprop.run_to_steady(initial, cfg),
                       initial, shocked, cfg)
-    if shock is None or not shock.converged:
+    if shock is None:
         return
     steady = shock.final_state
     restored = steady.y.copy()
@@ -725,15 +717,13 @@ class TestReferenceTrace:
     def test_max_steps_exhausted(self):
         state = synthetic.matched_block_pair(1).state("modular")
         cfg = ShockConfig(epicenter="C00", max_steps=7)
-        with pytest.raises(errors.NoConvergence) as err:
-            shockprop.run_to_steady(state, cfg)
-        trace = err.value.trace
-        assert trace.final_state.y is trace.steps[-1]
-        shocked = trace.steps[1]
-        _, x_ref, outcome = helpers.reference_shock_trace(
+        shocked = state.y.copy()
+        shocked[0] *= 1.0 - cfg.shock_fraction
+        _, _, outcome = helpers.reference_shock_trace(
             state.x, state.y, shocked, state.p, max_steps=7)
         assert outcome == "no convergence"
-        assert np.array_equal(trace.final_state.x, x_ref)
+        assert check_run(lambda: shockprop.run_to_steady(state, cfg),
+                         state, shocked, cfg) is None
 
     @pytest.mark.parametrize("q, passing", [(1.5, 7), (2.0, 4)])
     def test_degenerate_at_reference_step(self, q, passing):
@@ -804,7 +794,8 @@ class TestReferenceTrace:
         cfg = ShockConfig(epicenter="C00", max_steps=max_steps)
         with pytest.raises(errors.NoConvergence) as err:
             shockprop.run_to_steady(state, cfg)
-        shocked = err.value.trace.steps[1]
+        shocked = state.y.copy()
+        shocked[0] *= 1.0 - cfg.shock_fraction
         ys, _, outcome = helpers.reference_shock_trace(
             state.x, state.y, shocked, state.p, max_steps=max_steps)
         assert outcome == "no convergence"
@@ -812,7 +803,7 @@ class TestReferenceTrace:
         change = max(abs(float(a) - float(b)) / float(b)
                      for a, b in zip(last, before))
         assert str(err.value) == (
-            f"no steady state after {max_steps} steps: max relative change"
+            f"shock: no steady state after {max_steps} steps: max relative change"
             f" {change:.2g} >= tolerance 1e-10")
 
 

@@ -101,8 +101,6 @@ def load_trade(path):
 
 
 def select_years(args, available):
-    if args.year is not None:
-        return [args.year]
     if args.years is not None:
         lo, hi = args.years
         return [y for y in available if lo <= y <= hi]
@@ -162,30 +160,20 @@ def cmd_ccc_series(args):
     return EXIT_OK
 
 
-def _year_tree(args):
-    """The network of args.year and its average-linkage tree."""
-    net = ingest.build_network(load_trade(args.trade), args.year)
-    return net, hclust.average_linkage(hclust.distances_from_network(net))
-
-
 def cmd_dendrogram(args):
-    net, dend = _year_tree(args)
+    """args.year's average-linkage tree as Newick, its cut into args.cut
+    clusters and the share matrix in its leaf order, from one tree."""
+    net = ingest.build_network(load_trade(args.trade), args.year)
+    dend = hclust.average_linkage(hclust.distances_from_network(net))
     k = min(args.cut, net.n)
     if k != args.cut:
         log.warning("cut count %d clamped to %d countries", args.cut, net.n)
     assignment = hclust.cut_at_count(dend, k)
-    atomic_write(
-        os.path.join(args.out, f"tree_{net.year}.nwk"),
-        hclust.to_newick(dend, net.countries) + "\n",
-    )
+    newick = hclust.to_newick(dend, net.countries)
+    share = metrics.ordered_share_matrix(net, dend)
+    atomic_write(os.path.join(args.out, f"tree_{net.year}.nwk"), newick + "\n")
     write_table(args.out, f"clusters_{net.year}", ["country", "cluster"],
                 list(zip(net.countries, assignment)))
-    return EXIT_OK
-
-
-def cmd_share_matrix(args):
-    net, dend = _year_tree(args)
-    share = metrics.ordered_share_matrix(net, dend)
     write_table(
         args.out, f"share_matrix_{net.year}", ["", *share.countries],
         [(country, *row) for country, row in zip(share.countries, share.s.tolist())],
@@ -354,11 +342,8 @@ def build_parser():
     need_recessions = _parent("--recessions", required=True,
                               help="recession windows CSV")
     year = _parent("--year", type=int, required=True)
-    years = _parent()
-    group = years.add_mutually_exclusive_group()
-    group.add_argument("--year", type=int)
-    group.add_argument("--years", metavar="A:B", type=_year_range,
-                       help="inclusive year range")
+    years = _parent("--years", metavar="A:B", type=_year_range,
+                    help="inclusive year range")
     shock = _parent()
     # normalized like the country codes of the input files, which are read as
     # UTF-8 whatever the locale: surrogate-escaped argv bytes are decoded again
@@ -373,13 +358,13 @@ def build_parser():
     cut = _parent("--cut", type=_positive(int), default=6,
                   help="cluster count for cuts")
 
+    # no abbreviations: each option has one spelling, and --year is not --years
     def add(name, func, *options):
-        p = sub.add_parser(name, parents=[trade, *options, out])
+        p = sub.add_parser(name, parents=[trade, *options, out], allow_abbrev=False)
         p.set_defaults(func=func)
 
     add("ccc-series", cmd_ccc_series, gdp, years)
     add("dendrogram", cmd_dendrogram, year, cut)
-    add("share-matrix", cmd_share_matrix, year)
     add("shock", cmd_scenario, need_gdp, year, shock)
     add("recover", cmd_scenario, need_gdp, year, shock)
     add("recessions-test", cmd_recessions_test, need_recessions, years)

@@ -120,9 +120,12 @@ def _parse_country(code, lineno):
 
 # U4 fields, which _CODE_POINTS views as 4 code points each: a wider one is
 # truncated, so its 4th point is nonzero and it goes to the row parser
-_TRADE_DTYPE = [("year", "i8"), ("reporter", "U4"), ("partner", "U4"), ("value", "f8")]
-_CODE_POINTS = np.dtype({"names": ["reporter", "partner"], "formats": [("=u4", 4)] * 2,
-                         "offsets": [8, 24], "itemsize": 48})
+_TRADE_DTYPE = np.dtype(
+    [("year", "i8"), ("reporter", "U4"), ("partner", "U4"), ("value", "f8")])
+_CODE_POINTS = np.dtype({
+    "names": ["reporter", "partner"], "formats": [("=u4", 4)] * 2,
+    "offsets": [_TRADE_DTYPE.fields[f][1] for f in ("reporter", "partner")],
+    "itemsize": _TRADE_DTYPE.itemsize})
 
 
 def parse_trade_csv(stream) -> TradePanel:

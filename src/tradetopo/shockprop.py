@@ -242,6 +242,8 @@ def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
     """
     eps = 1e-12
     w = trace.world_gdp
+    if not np.isfinite(w).all():  # curve_fit's input check
+        raise ValueError("array must not contain infs or NaNs")
     y_end = float(w[-1])
     resid = y_end - w
     if np.any(resid < -eps * abs(y_end)):
@@ -254,9 +256,6 @@ def fit_recovery(trace: SimulationTrace) -> RecoveryFit:
     t = np.arange(len(w), dtype=float)
     slope, intercept = np.polyfit(t[mask], np.log(resid[mask]), 1)
     lam0, a0 = -slope, float(np.exp(intercept))
-
-    if not np.isfinite(w).all():  # curve_fit's input check
-        raise ValueError("array must not contain infs or NaNs")
 
     def residuals(params):
         y_inf, a, lam = params.tolist()

@@ -9,7 +9,6 @@ smallest positive double reads 0.0."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, frexp
 
 import numpy as np
@@ -17,13 +16,6 @@ import numpy as np
 from .errors import Degenerate
 
 _TIE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class KsResult:
-    d_statistic: float
-    p_value: float
-    method: str  # always "exact-permutation"
 
 
 def pearson(x, y) -> float:
@@ -90,19 +82,14 @@ def _exact_p(n, m, ends, stat, two_sided):
     return (total - row[m]) / total
 
 
-def ks_two_sample(a, b) -> KsResult:
-    """Two-sided KS test with the exact permutation p-value."""
+def ks_two_sample(a, b):
+    """Two-sample KS test with exact permutation p-values. Returns the
+    statistic D, its two-sided p and the one-sided p of D+ = sup(ECDF_a -
+    ECDF_b), the alternative that a-values sit below b-values."""
     n, m, ends, gaps = _observed_gaps(a, b)
     d = float(np.max(np.abs(gaps)))
-    p = _exact_p(n, m, ends, d, two_sided=True)
-    return KsResult(d_statistic=d, p_value=p, method="exact-permutation")
-
-
-def ks_one_sided_p(a, b) -> float:
-    """Permutation p-value for D+ = sup(ECDF_a - ECDF_b), the one-sided
-    alternative that a-values sit below b-values."""
-    n, m, ends, gaps = _observed_gaps(a, b)
-    return _exact_p(n, m, ends, float(np.max(gaps)), two_sided=False)
+    return (d, _exact_p(n, m, ends, d, two_sided=True),
+            _exact_p(n, m, ends, float(np.max(gaps)), two_sided=False))
 
 
 def recession_ccc_shift(series, windows):
@@ -125,7 +112,6 @@ def recession_ccc_shift(series, windows):
         raise Degenerate(f"CCC series does not cover window(s): {', '.join(missing)}")
     before = [by_year[w.start[0] - 1] for w in windows]
     after = [by_year[w.end[0] + 1] for w in windows]
-    ks = ks_two_sample(before, after)
-    return {"D": ks.d_statistic, "p": ks.p_value, "method": ks.method,
-            "before": before, "after": after,
-            "one_sided_p": ks_one_sided_p(before, after)}
+    d, p, one_sided_p = ks_two_sample(before, after)
+    return {"D": d, "p": p, "method": "exact-permutation",
+            "before": before, "after": after, "one_sided_p": one_sided_p}

@@ -8,10 +8,9 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.stats
 
 import helpers
-from tradetopo import cli, errors, ingest, metrics, shockprop
+from tradetopo import cli, errors, ingest, metrics, shockprop, stats
 
 TRADE3 = """year,reporter,partner,value_usd
 2000,AAA,BBB,3
@@ -139,9 +138,8 @@ class TestCccSeries:
         rows = (out / "ccc_series.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["2001"]
         assert "bilateral trade of year 2000 overflows" in caplog.text
-        for command in ("dendrogram", "share-matrix"):
-            assert run(command, "--trade", trade, "--year", 2000,
-                       "--out", tmp_path / command) == 3
+        assert run("dendrogram", "--trade", trade, "--year", 2000,
+                   "--out", tmp_path / "dendrogram") == 3
 
 
 class TestDendrogram:
@@ -185,12 +183,31 @@ class TestDendrogram:
                 in capsys.readouterr().err)
         assert not out.exists() or list(out.iterdir()) == []
 
+    # SHA-256 of the fixture's year 2000 at the default --cut, as written
+    # when the share matrix had its own command
+    FIXTURE_2000 = {
+        "clusters_2000.csv":
+            "5a29aab5235f8536186f2413d42aeaa82f9446e5c86196c7a34ee6f559e5c0d7",
+        "share_matrix_2000.csv":
+            "578fbc9f30f47fdeaa7d835f97bf711174fb29c5ee7a25429565e516ac546333",
+        "tree_2000.nwk":
+            "405c89db13581ff01a5da3a2ba79261e660f1297727e13eb34fc271614b48657",
+    }
+
+    def test_fixture_digests(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run("dendrogram", "--trade", fixtures_dir / "trade.csv",
+                   "--year", 2000, "--out", out) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert digests == self.FIXTURE_2000
+
 
 class TestShareMatrix:
     def test_matrix_written(self, small_inputs, tmp_path):
         trade, _ = small_inputs
         out = tmp_path / "out"
-        assert run("share-matrix", "--trade", trade, "--year", 2000,
+        assert run("dendrogram", "--trade", trade, "--year", 2000,
                    "--out", out) == 0
         lines = (out / "share_matrix_2000.csv").read_text().splitlines()
         header = lines[0].split(",")[1:]
@@ -374,6 +391,8 @@ class TestRecessionsTestTwelveWindows:
                 f"--out={tmp_path / 'out'}"]
 
     def test_p_values_equal_scipy_exact(self, argv, tmp_path):
+        import scipy.stats
+
         assert run(*argv) == 0
         result = json.loads((tmp_path / "out" / "recessions_test.json").read_text())
         assert result["method"] == "exact-permutation"
@@ -500,9 +519,11 @@ class TestPipeline:
         count(ingest, "parse_gdp_csv")
         count(metrics, "ccc_series")
         count(shockprop, "shock_and_recover")
+        count(stats, "_observed_gaps")
         assert self.run_fixture(fixtures_dir, tmp_path / "out") == 0
         assert calls == {"parse_trade_csv": 1, "parse_gdp_csv": 1,
-                         "ccc_series": 1, "shock_and_recover": 12}
+                         "ccc_series": 1, "shock_and_recover": 12,
+                         "_observed_gaps": 1}
 
     def test_missing_gdp_file_writes_nothing(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"
@@ -782,9 +803,10 @@ class TestExitCodes:
     def test_update_option_is_gone(self, command, tmp_path, capsys):
         # the GDP update has one rule; --trade and --gdp name no file
         out = tmp_path / "out"
+        year = [] if command == "pipeline" else ["--year", "2000"]
         with pytest.raises(SystemExit) as exc:
             run(command, "--trade", tmp_path / "missing.csv",
-                "--gdp", tmp_path / "missing.csv", "--year", "2000",
+                "--gdp", tmp_path / "missing.csv", *year,
                 "--update", "multiplicative", "--out", out)
         assert exc.value.code == 2
         err = capsys.readouterr().err
@@ -797,13 +819,8 @@ class TestExitCodes:
                    "--years", "1996:1996", "--out", out) == 0
         rows = (out / "ccc_series.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows] == ["year", "1996"]
-        assert run("ccc-series", "--trade", fixtures_dir / "trade.csv",
-                   "--year", "1996", "--out", tmp_path / "one") == 0
-        assert ((tmp_path / "one" / "ccc_series.csv").read_bytes()
-                == (out / "ccc_series.csv").read_bytes())
 
     @pytest.mark.parametrize("argv", [
-        ["share-matrix", "--year", "2000", "--format", "json"],
         # tables are CSV only: --format is gone
         ["ccc-series", "--years", "1995:2000", "--format", "json"],
         ["dendrogram", "--year", "2000", "--format", "json"],
@@ -814,13 +831,18 @@ class TestExitCodes:
         # the trade network is always M = X + X^T: --mode is gone
         ["ccc-series", "--years", "1995:2000", "--mode", "sum"],
         ["dendrogram", "--year", "2000", "--mode", "max"],
-        ["share-matrix", "--year", "2000", "--mode", "mean"],
         ["recessions-test", "--recessions", "r.csv", "--mode", "sum"],
         ["pipeline", "--years", "1995:2000", "--mode", "sum"],
-    ], ids=["share-matrix", "ccc-series-format", "dendrogram-format", "shock-format",
+        # a series command selects its years with --years alone, and no
+        # option is matched by a prefix of its name
+        ["ccc-series", "--gdp", "gdp.csv", "--year", "2000"],
+        ["recessions-test", "--recessions", "r.csv", "--year", "2000"],
+        ["pipeline", "--years", "1995:2000", "--year", "2000"],
+    ], ids=["ccc-series-format", "dendrogram-format", "shock-format",
             "recover-format", "pipeline-format",
             "dendrogram", "ccc-series-mode", "dendrogram-mode",
-            "share-matrix-mode", "recessions-test-mode", "pipeline-mode"])
+            "recessions-test-mode", "pipeline-mode",
+            "ccc-series-year", "recessions-test-year", "pipeline-year"])
     def test_option_the_command_does_not_read_is_rejected(
             self, argv, small_inputs, tmp_path, capsys):
         trade, _ = small_inputs
@@ -968,7 +990,7 @@ class TestAtomicWrite:
                 env={**package_env, **locale}, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
         names = sorted(p.name for p in outs[1].iterdir())
-        assert names == ["clusters_2000.csv", "tree_2000.nwk"]
+        assert names == ["clusters_2000.csv", "share_matrix_2000.csv", "tree_2000.nwk"]
         assert sorted(p.name for p in outs[0].iterdir()) == names
         for n in names:
             assert (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
@@ -988,7 +1010,8 @@ class TestAtomicWrite:
             os.umask(previous)
         modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
         assert modes == dict.fromkeys(
-            ["ccc_series.csv", "clusters_2000.csv", "tree_2000.nwk"], mode)
+            ["ccc_series.csv", "clusters_2000.csv", "share_matrix_2000.csv",
+             "tree_2000.nwk"], mode)
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
         def fail(src, dst):
@@ -1152,7 +1175,6 @@ class TestWithoutScipy:
     @pytest.mark.parametrize("argv", [
         ["ccc-series", "--gdp", "gdp.csv"],
         ["dendrogram", "--year", "2000"],
-        ["share-matrix", "--year", "2000"],
         ["recessions-test", "--recessions", "recessions.csv"],
         ["shock", "--gdp", "gdp.csv", "--year", "2000"],
         ["pipeline", "--recessions", "recessions.csv"],

@@ -514,11 +514,15 @@ class TestFitRecoveryEqualsCurveFit:
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
             ("WARNING", "recovery fit: lmdif info 5; using the log-linear seed")]
 
-    def test_nan_in_fitted_points(self):
-        w = 100 - 5 * np.exp(-0.3 * np.arange(21))
-        w[5] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            fit_tuple(w)
+    def test_nan_in_fitted_points(self, recwarn):
+        # a non-finite point is a ValueError wherever it sits, with no
+        # numpy warning: the check runs before the seed reads w
+        for at, value in [(5, np.nan), (-1, np.nan), (-1, np.inf), (0, np.inf)]:
+            w = 100 - 5 * np.exp(-0.3 * np.arange(21))
+            w[at] = value
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fit_tuple(w)
+        assert not recwarn.list
 
     FIT_IN_CHILD = (
         "import sys, numpy as np\n"

@@ -108,8 +108,9 @@ def year_state(year, countries, x, gdp: dict) -> EconomyState:
 
 def step(x, ex, y_prev, y, p):
     """Advance one step from X(t-1) with row sums ex, Y(t-1) and Y(t);
-    return X(t), its row sums, Y(t+1) and the max relative change
-    max |Y(t+1) - Y(t)| / Y(t).
+    return fresh arrays X(t), its row sums and Y(t+1), and the max
+    relative change max |Y(t+1) - Y(t)| / Y(t) as a Python float. min(ex)
+    and that max are read at argmin and argmax, which stop at the first NaN.
 
     Y(t) must be finite and > 0. Rows whose sum is <= 0 or NaN keep their
     GDP. When every row sum is > 0 the ratio is a plain divide and X(t)
@@ -121,8 +122,7 @@ def step(x, ex, y_prev, y, p):
     """
     x_t = x * (y / y_prev)
     ex_t = np.add.reduce(x_t, 1)
-    # a NaN row sum fails this test; min and max are NaN if any entry is
-    trades = np.minimum.reduce(ex) > 0
+    trades = ex.item(ex.argmin()) > 0
     if trades:
         y_next = ex_t / ex
     else:
@@ -136,7 +136,7 @@ def step(x, ex, y_prev, y, p):
     change = y_next - y
     np.absolute(change, out=change)
     change /= y
-    delta = np.maximum.reduce(change)
+    delta = change.item(change.argmax())
     if not ((delta < 1 or (np.minimum.reduce(y_next) > 0
                            and np.maximum.reduce(y_next) < np.inf))
             and (trades or np.isfinite(x_t).all())):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -479,29 +480,99 @@ class TestPipeline:
                    for p in out.iterdir()}
         assert digests == self.GOLDEN
 
+    @staticmethod
+    def csv_records(path):
+        """The data rows of a CSV file below its header, as text fields."""
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    @staticmethod
+    def oracle_ccc(x):
+        """CCC from the definitions: M = X + X^T with a zero diagonal,
+        d = M* - M, the delete oracle's tree, its brute cophenetic and the
+        lexsort CCC."""
+        m = x + x.T
+        np.fill_diagonal(m, 0.0)
+        n = len(m)
+        upper = m[np.triu_indices(n, k=1)]
+        d = upper.max() - upper
+        merges = helpers.delete_average_linkage(n, d)
+        c = helpers.brute_cophenetic(n, [mg[:3] for mg in merges])
+        return helpers.lexsort_ccc(d, c)
+
     def test_ccc_series_equals_composed_oracles(self, fixtures_dir, tmp_path):
-        # each year from the definitions: summed flows, M = X + X^T with a
-        # zero diagonal, d = M* - M, the delete oracle's tree, its brute
-        # cophenetic and the lexsort CCC
-        with open(fixtures_dir / "trade.csv", newline="") as fh:
-            records = list(csv.reader(fh))[1:]
-        rows = [(int(y), r, p, float(v)) for y, r, p, v in records]
+        # each year from the definitions: summed flows, then oracle_ccc
+        rows = [(int(y), r, p, float(v)) for y, r, p, v
+                in self.csv_records(fixtures_dir / "trade.csv")]
         expected = [["year", "ccc", "n_countries"]]
         for year in sorted({row[0] for row in rows}):
             countries, x = helpers.brute_directed_flows(rows, year)
-            m = x + x.T
-            np.fill_diagonal(m, 0.0)
-            n = len(countries)
-            upper = m[np.triu_indices(n, k=1)]
-            d = upper.max() - upper
-            merges = helpers.delete_average_linkage(n, d)
-            c = helpers.brute_cophenetic(n, [mg[:3] for mg in merges])
-            expected.append([str(year), f"{helpers.lexsort_ccc(d, c):.12g}", str(n)])
+            expected.append([str(year), f"{self.oracle_ccc(x):.12g}",
+                             str(len(countries))])
         out = tmp_path / "out"
         assert self.run_fixture(fixtures_dir, out) == 0
         with open(out / "ccc_series.csv", newline="") as fh:
             assert list(csv.reader(fh)) == expected
         assert len(expected) == 13
+
+    def test_fig4_equals_composed_oracles(self, fixtures_dir, tmp_path):
+        # each year from the definitions: summed flows, the fixture's GDPs
+        # and P = X_i / Y_i; the shock at the default epicenter and
+        # fraction, then the recovery to its pre-shock GDP, each stepped by
+        # the reference trace to the default tolerance; F and the world
+        # GDP change from the shock's first and last GDP vectors; lambda
+        # from curve_fit on the recovery's world GDP, seeded by a
+        # log-linear fit of the points below its last. Where lmdif stops
+        # fixes lambda to about 6 digits, hence its bound
+        from scipy.optimize import curve_fit
+        rows = [(int(y), r, p, float(v)) for y, r, p, v
+                in self.csv_records(fixtures_dir / "trade.csv")]
+        gdp = {(int(y), c): float(v) for y, c, v
+               in self.csv_records(fixtures_dir / "gdp.csv")}
+        config = shockprop.ShockConfig(epicenter="USA")
+        expected = {}
+        for year in sorted({row[0] for row in rows}):
+            countries, x = helpers.brute_directed_flows(rows, year)
+            y = np.array([gdp[(year, c)] for c in countries])
+            p = x.sum(axis=1) / y
+            i = countries.index(config.epicenter)
+            shocked = y.copy()
+            shocked[i] *= 1.0 - config.shock_fraction
+            ys, x_steady, outcome = helpers.reference_shock_trace(
+                x, y, shocked, p, tol=config.tolerance)
+            assert outcome == "converged"
+            first, last = y.tolist(), ys[-1].tolist()
+            epi = (last[i] - first[i]) / first[i]
+            rest_first = math.fsum(first[:i] + first[i + 1:])
+            rest_last = math.fsum(last[:i] + last[i + 1:])
+            impact = (rest_last - rest_first) / rest_first / epi
+            world = (math.fsum(last) - math.fsum(first)) / math.fsum(first)
+            restored = ys[-1].copy()
+            restored[i] = y[i]
+            ys_rec, _, outcome = helpers.reference_shock_trace(
+                x_steady, ys[-1], restored, p, tol=config.tolerance)
+            assert outcome == "converged"
+            w = np.array([math.fsum(v) for v in [ys[-1], restored, *ys_rec]])
+            t = np.arange(len(w), dtype=float)
+            below = w[-1] - w > 1e-12 * w[-1]
+            slope, intercept = np.polyfit(t[below], np.log((w[-1] - w)[below]), 1)
+            (_, _, lam), _ = curve_fit(
+                lambda t, y_inf, a, lam: y_inf - a * np.exp(-lam * t),
+                t, w, p0=(w[-1], np.exp(intercept), -slope), maxfev=10_000)
+            expected[year] = (self.oracle_ccc(x), impact, world, lam)
+        out = tmp_path / "out"
+        assert self.run_fixture(fixtures_dir, out) == 0
+        fig4a = self.csv_records(out / "fig4a.csv")
+        fig4b = self.csv_records(out / "fig4b.csv")
+        assert len(expected) == 12
+        assert [int(r[0]) for r in fig4a] == sorted(expected)
+        assert [int(r[0]) for r in fig4b] == sorted(expected)
+        for (year, ccc_a, f), (_, ccc_b, change, lam) in zip(fig4a, fig4b):
+            want_ccc, want_f, want_change, want_lam = expected[int(year)]
+            assert ccc_a == ccc_b == f"{want_ccc:.12g}"
+            assert float(f) == pytest.approx(want_f, rel=1e-11, abs=0)
+            assert float(change) == pytest.approx(want_change, rel=1e-11, abs=0)
+            assert float(lam) == pytest.approx(want_lam, rel=1e-6, abs=0)
 
     def test_each_stage_runs_once(self, fixtures_dir, tmp_path, monkeypatch):
         calls = {}

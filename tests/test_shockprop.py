@@ -63,6 +63,11 @@ def fixture_states(fixtures_dir):
 CFG = ShockConfig(epicenter="USA", shock_fraction=0.054)
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: tells -0.0 from +0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestInitState:
     """The initial state of a simulation, built by year_state."""
 
@@ -228,6 +233,58 @@ class TestStep:
         assert (outcome, ys) == ("degenerate", [])
         with pytest.raises(errors.Degenerate):
             shockprop.step(x, x.sum(axis=1), y_prev, y, p)
+
+    @pytest.mark.parametrize("row", [0, 3, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -0.0],
+                             ids=["nan", "+0.0", "-0.0"])
+    def test_row_sum_nan_or_signed_zero(self, value, row):
+        # step reads min(ex) at argmin, which stops at the first NaN; a row
+        # sum that is NaN, +0.0 or -0.0 anywhere must fail the trade test
+        # as the reference's ex > 0 does. The row holds the value itself,
+        # and ex holds it as given, since a sum of -0.0s is +0.0
+        st = random_state(np.random.default_rng(7), 7)
+        x = st.x.copy()
+        x[row] = value
+        ex = np.add.reduce(x, 1)
+        ex[row] = value
+        assert np.signbit(ex[row]) == np.signbit(value)
+        assert np.delete(ex, row).min() > 0
+        y = st.y.copy()
+        y[(row + 1) % 7] *= 1.0 - 0.054
+        ys, x_ref, outcome = helpers.reference_shock_trace(
+            x, st.y, y, st.p, max_steps=1)
+        if np.isnan(value):
+            assert (outcome, ys) == ("degenerate", [])
+            with pytest.raises(errors.Degenerate) as err:
+                shockprop.step(x, ex, st.y, y, st.p)
+            assert not err.traceback[-1].locals["trades"]
+            return
+        assert (outcome, len(ys)) == ("no convergence", 1)
+        x_t, ex_t, y_next, delta = shockprop.step(x, ex, st.y, y, st.p)
+        assert same_bits(x_t, x_ref)
+        assert same_bits(ex_t, x_ref.sum(axis=1))
+        assert same_bits(y_next, ys[0])
+        assert type(delta) is float
+        assert delta == float(np.max(np.abs(ys[0] - y) / y))
+
+    def test_nan_change_after_a_larger_finite_one(self):
+        # country 0's only partner grew tenfold, a change of 4.5; country
+        # 2's inf export makes its ratio inf / inf, so its change is NaN.
+        # max(change) read at argmax must be that NaN, not the 4.5 before
+        # it, and the domain check must raise
+        x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, np.inf, 0.0]])
+        y_prev, y = np.array([1.0, 100.0, 1.0]), np.array([1.0, 1000.0, 1.0])
+        p = np.array([0.5, 0.5, 0.5])
+        with np.errstate(invalid="ignore"):
+            ys, _, outcome = helpers.reference_shock_trace(
+                x, y_prev, y, p, max_steps=1)
+            assert (outcome, ys) == ("degenerate", [])
+            with pytest.raises(errors.Degenerate,
+                               match="left the finite positive domain") as err:
+                shockprop.step(x, x.sum(axis=1), y_prev, y, p)
+        local = err.traceback[-1].locals
+        assert local["change"][0] == 4.5 and np.isnan(local["change"][2])
+        assert type(local["delta"]) is float and np.isnan(local["delta"])
 
 
 class TestRunToSteady:

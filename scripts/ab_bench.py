@@ -4,10 +4,11 @@ record (the BENCH_<n>.json files at the repository root).
 
 Usage:
   python3 scripts/ab_bench.py --parent DIR --change DIR --out FILE
-      [--set WORKLOAD:SEED:PAIRS ...] [--seconds 15] [--step-runs 15]
+      [--set WORKLOAD:SEED:PAIRS ...]
 
-Each pair runs `bench/run.py --workload W --seed N --seconds S --trace 0`
-once in each checkout, one after the other; the side that runs first
+Each pair runs `bench/run.py --workload W --seed N --seconds S --trace 0`,
+S being BENCHMARK.json's run_seconds, once in each checkout, one after
+the other; the side that runs first
 alternates by pair (parent first in odd pairs). Every run is kept, and
 each end-to-end metric is summarized by its quartiles per side, the
 number of pairs in which the change read better, and the parent's
@@ -16,7 +17,7 @@ interquartile range.
 The step section times shockprop.step in one process with both
 checkouts' packages loaded side by side: the step calls of one shock run
 are recorded, then replayed on each side in turn, alternating which side
-goes first, and the per-step time of each replay is kept.
+goes first, and the per-step time of each of 15 replays is kept.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ SETS = ["structure_response:0:10", "structure_response:3:10",
 METRICS = {"wall_s": "lower", "cpu_s": "lower", "peak_rss_mb": "lower",
            "setup_s": "lower", "ok_frac": "higher"}
 SIDES = ("parent", "change")
+STEP_RUNS = 15
 
 
 def bench_run(root, workload, seed, seconds):
@@ -147,13 +149,13 @@ def main(argv=None):
     parser.add_argument("--out", required=True)
     parser.add_argument("--set", action="append", dest="sets",
                         help="WORKLOAD:SEED:PAIRS (repeatable)")
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--step-runs", type=int, default=15)
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
     packages = {s: load_package(roots[s], f"tradetopo_{s}") for s in SIDES}
-    step = [step_ab(packages, n, args.step_runs) for n in (24, 150)]
+    step = [step_ab(packages, n, STEP_RUNS) for n in (24, 150)]
     runs, summary, environment = [], {}, None
     for entry in args.sets or SETS:
         workload, seed, pairs = entry.split(":")
@@ -162,7 +164,7 @@ def main(argv=None):
             order = SIDES if pair % 2 else SIDES[::-1]
             for first, side in zip((True, False), order):
                 environment, result = bench_run(roots[side], workload, seed,
-                                                args.seconds)
+                                                seconds)
                 runs.append({"workload": workload, "seed": seed, "pair": pair,
                              "side": side, "first": first,
                              "correct": result["correct"], "failed": result["failed"],
@@ -173,7 +175,7 @@ def main(argv=None):
         summary[f"{workload}_seed{seed}"] = {
             "all_correct": all(r["correct"] for r in these), **summarize(these, pairs)}
     record = {"method": __doc__.split("\n\n", 2)[2].strip(),
-              "seconds": args.seconds, "environment": environment,
+              "seconds": seconds, "environment": environment,
               "cpu_count": os.cpu_count(),
               "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")
               or f"OPENBLAS_NUM_THREADS unset: one per CPU ({os.cpu_count()})",

@@ -255,9 +255,8 @@ class TestStep:
             x, st.y, y, st.p, max_steps=1)
         if np.isnan(value):
             assert (outcome, ys) == ("degenerate", [])
-            with pytest.raises(errors.Degenerate) as err:
+            with pytest.raises(errors.Degenerate):
                 shockprop.step(x, ex, st.y, y, st.p)
-            assert not err.traceback[-1].locals["trades"]
             return
         assert (outcome, len(ys)) == ("no convergence", 1)
         x_t, ex_t, y_next, delta = shockprop.step(x, ex, st.y, y, st.p)
@@ -268,23 +267,21 @@ class TestStep:
         assert delta == float(np.max(np.abs(ys[0] - y) / y))
 
     def test_nan_change_after_a_larger_finite_one(self):
-        # country 0's only partner grew tenfold, a change of 4.5; country
+        # country 0's only partner grew by half, a change of 0.25; country
         # 2's inf export makes its ratio inf / inf, so its change is NaN.
-        # max(change) read at argmax must be that NaN, not the 4.5 before
-        # it, and the domain check must raise
+        # Every finite change is < 1, so a delta read past the NaN would
+        # skip the domain check and step would return; max(change) read at
+        # argmax must be that NaN, and the domain check must raise
         x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, np.inf, 0.0]])
-        y_prev, y = np.array([1.0, 100.0, 1.0]), np.array([1.0, 1000.0, 1.0])
+        y_prev, y = np.array([1.0, 100.0, 1.0]), np.array([1.0, 150.0, 1.0])
         p = np.array([0.5, 0.5, 0.5])
         with np.errstate(invalid="ignore"):
             ys, _, outcome = helpers.reference_shock_trace(
                 x, y_prev, y, p, max_steps=1)
             assert (outcome, ys) == ("degenerate", [])
             with pytest.raises(errors.Degenerate,
-                               match="left the finite positive domain") as err:
+                               match="left the finite positive domain"):
                 shockprop.step(x, x.sum(axis=1), y_prev, y, p)
-        local = err.traceback[-1].locals
-        assert local["change"][0] == 4.5 and np.isnan(local["change"][2])
-        assert type(local["delta"]) is float and np.isnan(local["delta"])
 
 
 class TestRunToSteady:

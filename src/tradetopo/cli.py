@@ -1,10 +1,10 @@
 """Command-line batch pipelines over trade/GDP/recession CSV inputs.
 
 load(parse, path) reads every input file, write_table writes every table
-as CSV and write_json every record as JSON, and scenario() gives shock,
-recover and pipeline's fig4 a year's values. Each command computes every
-result before its first write, so an error leaves no partial output, with
-one exception: pipeline still writes its CCC outputs and
+as CSV and write_json every record as JSON; the results come from the
+library, all of pipeline's from pipeline.run_panel. Each command computes
+every result before its first write, so an error leaves no partial
+output, with one exception: pipeline still writes its CCC outputs and
 recessions_test.json when every year's shock scenario fails. Exit codes,
 chosen in main() by the class of the error: 0 success, 2 input/parse
 error (ParseError, MissingGdp, a missing or unreadable file, a bad option
@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 
-from .errors import Degenerate, MissingGdp, NoConvergence, ParseError, TradeTopoError
+from .errors import Degenerate, MissingGdp, NoConvergence, ParseError
 
 # numpy loads OpenBLAS, which reads its thread count once, at load (no
 # command loads scipy's copy: the recovery fit's MINPACK links no BLAS).
@@ -34,7 +34,7 @@ from .errors import Degenerate, MissingGdp, NoConvergence, ParseError, TradeTopo
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import hclust, ingest, metrics, shockprop, stats  # noqa: E402
+from . import hclust, ingest, metrics, pipeline, shockprop  # noqa: E402
 
 log = logging.getLogger("tradetopo")
 
@@ -100,30 +100,6 @@ def load_trade(path):
     return load(ingest.parse_trade_csv, path)
 
 
-def select_years(args, available):
-    if args.years is not None:
-        lo, hi = args.years
-        return [y for y in available if lo <= y <= hi]
-    return available
-
-
-def ccc_stage(args, panel):
-    """Directed flows, networks and CCC series of the selected years; each
-    year is aggregated once, and a year without rows or whose trade sums
-    overflow is skipped with a warning. Raises Degenerate if no CCC."""
-    flows, nets = {}, []
-    for year in select_years(args, panel.years()):
-        try:
-            flows[year] = ingest.directed_flows(panel, year)
-            nets.append(ingest.symmetrize(year, *flows[year]))
-        except Degenerate as exc:
-            log.warning("%s", exc)
-    series = metrics.ccc_series(nets)
-    if not series:
-        raise Degenerate("no year produced a CCC value")
-    return flows, nets, series
-
-
 def shock_config(args):
     return shockprop.ShockConfig(
         epicenter=args.epicenter,
@@ -134,30 +110,6 @@ def shock_config(args):
 
 
 # --- commands ---
-
-
-def _write_ccc_outputs(args, nets, series, gdp):
-    write_table(args.out, "ccc_series", ["year", "ccc", "n_countries"],
-                [(p.year, p.ccc, p.n_countries) for p in series])
-    if gdp is None:
-        return
-    ratio_rows, total_rows = [], []
-    for net in nets:
-        total_rows.append((net.year, metrics.total_trade(net)))
-        try:
-            ratio_rows.append((net.year, metrics.trade_gdp_ratio(net, gdp)))
-        except MissingGdp as exc:
-            log.warning("year %d: %s", net.year, exc)
-    write_table(args.out, "trade_gdp_ratio", ["year", "ratio"], ratio_rows)
-    write_table(args.out, "total_trade", ["year", "total_trade"], total_rows)
-
-
-def cmd_ccc_series(args):
-    panel = load_trade(args.trade)
-    gdp = load(ingest.parse_gdp_csv, args.gdp) if args.gdp else None
-    _, nets, series = ccc_stage(args, panel)
-    _write_ccc_outputs(args, nets, series, gdp)
-    return EXIT_OK
 
 
 def cmd_dendrogram(args):
@@ -190,24 +142,6 @@ def _write_trace(path_stem, trace, args):
     write_table(args.out, path_stem, ["step", "country", "gdp"], rows)
 
 
-def scenario(state, config, recover):
-    """One year's shock scenario: run_to_steady, or with recover the whole
-    shock_and_recover. Returns its last trace and a summary: the world GDP
-    change and impact ratio of the shock, and with recover the fit's
-    lambda, a and y_inf."""
-    if recover:
-        shock, trace, fit = shockprop.shock_and_recover(state, config)
-        fitted = {"lambda": fit.lam, "a": fit.a, "y_inf": fit.y_inf}
-    else:
-        shock = trace = shockprop.run_to_steady(state, config)
-        fitted = {}
-    return trace, {
-        "world_gdp_change": shockprop.world_gdp_change(shock),
-        "impact_ratio": shockprop.impact_ratio(shock, config.epicenter),
-        **fitted,
-    }
-
-
 def cmd_scenario(args):
     """shock runs run_to_steady, recover the whole shock_and_recover
     scenario; each writes its last phase's trace, then a JSON summary."""
@@ -215,7 +149,7 @@ def cmd_scenario(args):
     countries, x = ingest.directed_flows(panel, args.year)
     state = shockprop.year_state(args.year, countries, x, gdp)
     recover = args.command == "recover"
-    trace, summary = scenario(state, shock_config(args), recover)
+    trace, summary = pipeline.scenario(state, shock_config(args), recover)
     phase = "recovery" if recover else "shock"
     _write_trace(f"{phase}_trace_{args.year}", trace, args)
     # every trace the library returns is steady
@@ -224,69 +158,32 @@ def cmd_scenario(args):
     return EXIT_OK
 
 
-def cmd_recessions_test(args):
-    panel = load_trade(args.trade)
-    windows = load(ingest.parse_recessions, args.recessions)
-    _, _, series = ccc_stage(args, panel)
-    write_json(args.out, "recessions_test", stats.recession_ccc_shift(series, windows))
-    return EXIT_OK
-
-
-def _fig4_scenarios(config, flows, series, gdp):
-    """Shock and recovery of every year in the CCC series; a year whose
-    scenario fails is skipped with a warning. Returns the (CccPoint,
-    scenario summary) of each year done and, for each year skipped,
-    whether its error was NoConvergence. Neither that list nor the log
-    record holds the error, whose traceback keeps every GDP vector of the
-    year's run alive."""
-    done, failures = [], []
-    for point in series:
-        try:
-            state = shockprop.year_state(point.year, *flows[point.year], gdp)
-            done.append((point, scenario(state, config, recover=True)[1]))
-        except (TradeTopoError, ValueError) as exc:
-            log.warning("year %d: shock scenario skipped: %s", point.year,
-                        str(exc))
-            failures.append(isinstance(exc, NoConvergence))
-    return done, failures
-
-
-def _write_fig4(args, done, failures):
-    """fig4a and fig4b of the years done. When no year is done, nothing is
-    written and NoConvergence is raised if every failure was one,
-    Degenerate otherwise."""
-    if not done:
-        error = NoConvergence if all(failures) else Degenerate
-        raise error(f"shock scenario failed in all {len(failures)} years")
-    write_table(args.out, "fig4a", ["year", "ccc", "impact_ratio"],
-                [(p.year, p.ccc, s["impact_ratio"]) for p, s in done])
-    write_table(args.out, "fig4b", ["year", "ccc", "world_gdp_change", "lambda"],
-                [(p.year, p.ccc, s["world_gdp_change"], s["lambda"]) for p, s in done])
-
-
 def cmd_pipeline(args):
-    panel = load_trade(args.trade)
-    gdp = load(ingest.parse_gdp_csv, args.gdp) if args.gdp else None
-    windows = (load(ingest.parse_recessions, args.recessions)
-               if args.recessions else None)
-    config = shock_config(args)
-    flows, nets, series = ccc_stage(args, panel)
-    del panel  # free the parsed rows before the shock and KS stages
-    # an epicenter absent from every year is a bad option, not a per-year skip
-    if gdp is not None and not any(
-        args.epicenter in flows[point.year][0] for point in series
-    ):
-        raise Degenerate(f"{args.epicenter!r} not in state")
-    shift = (stats.recession_ccc_shift(series, windows)
-             if windows is not None else None)
-    fig4 = _fig4_scenarios(config, flows, series, gdp) if gdp is not None else None
-    _write_ccc_outputs(args, nets, series, gdp)
-    if shift is not None:
-        write_json(args.out, "recessions_test", shift)
-    if fig4 is None:
+    # the trade file is parsed first, and no name here holds its rows, so
+    # run_panel frees them before its CCC stage
+    run = pipeline.run_panel(
+        load_trade(args.trade),
+        load(ingest.parse_gdp_csv, args.gdp) if args.gdp else None,
+        load(ingest.parse_recessions, args.recessions) if args.recessions else None,
+        args.years, shock_config(args))
+    write_table(args.out, "ccc_series", ["year", "ccc", "n_countries"],
+                [(p.year, p.ccc, p.n_countries) for p in run.series])
+    if run.ratios is not None:
+        write_table(args.out, "trade_gdp_ratio", ["year", "ratio"], run.ratios)
+        write_table(args.out, "total_trade", ["year", "total_trade"], run.totals)
+    if run.shift is not None:
+        write_json(args.out, "recessions_test", run.shift)
+    if run.fig4 is None:
         log.warning("no GDP data; shock and recovery stages skipped")
-    else:
-        _write_fig4(args, *fig4)
+        return EXIT_OK
+    if not run.fig4:
+        error = NoConvergence if all(run.failures) else Degenerate
+        raise error(f"shock scenario failed in all {len(run.failures)} years")
+    write_table(args.out, "fig4a", ["year", "ccc", "impact_ratio"],
+                [(p.year, p.ccc, s["impact_ratio"]) for p, s in run.fig4])
+    write_table(args.out, "fig4b", ["year", "ccc", "world_gdp_change", "lambda"],
+                [(p.year, p.ccc, s["world_gdp_change"], s["lambda"])
+                 for p, s in run.fig4])
     return EXIT_OK
 
 
@@ -339,8 +236,6 @@ def build_parser():
     gdp = _parent("--gdp", help="GDP CSV")
     need_gdp = _parent("--gdp", required=True, help="GDP CSV")
     recessions = _parent("--recessions", help="recession windows CSV")
-    need_recessions = _parent("--recessions", required=True,
-                              help="recession windows CSV")
     year = _parent("--year", type=int, required=True)
     years = _parent("--years", metavar="A:B", type=_year_range,
                     help="inclusive year range")
@@ -363,11 +258,9 @@ def build_parser():
         p = sub.add_parser(name, parents=[trade, *options, out], allow_abbrev=False)
         p.set_defaults(func=func)
 
-    add("ccc-series", cmd_ccc_series, gdp, years)
     add("dendrogram", cmd_dendrogram, year, cut)
     add("shock", cmd_scenario, need_gdp, year, shock)
     add("recover", cmd_scenario, need_gdp, year, shock)
-    add("recessions-test", cmd_recessions_test, need_recessions, years)
     add("pipeline", cmd_pipeline, gdp, recessions, years, shock)
     return parser
 

@@ -6,12 +6,13 @@ import os
 import stat
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import helpers
-from tradetopo import cli, errors, ingest, metrics, shockprop, stats
+from tradetopo import cli, errors, ingest, metrics, pipeline, shockprop, stats
 
 TRADE3 = """year,reporter,partner,value_usd
 2000,AAA,BBB,3
@@ -47,10 +48,12 @@ def run(*argv):
 
 
 class TestCccSeries:
+    """pipeline's ccc_series.csv, and its total and ratio tables with GDP."""
+
     def test_two_year_series(self, small_inputs, tmp_path):
         trade, gdp = small_inputs
         out = tmp_path / "out"
-        assert run("ccc-series", "--trade", trade, "--out", out) == 0
+        assert run("pipeline", "--trade", trade, "--out", out) == 0
         lines = (out / "ccc_series.csv").read_text().splitlines()
         assert lines[0] == "year,ccc,n_countries"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["2000", "2001"]
@@ -58,25 +61,34 @@ class TestCccSeries:
     def test_inserts_written_with_gdp(self, small_inputs, tmp_path):
         trade, gdp = small_inputs
         out = tmp_path / "out"
-        assert run("ccc-series", "--trade", trade, "--gdp", gdp, "--out", out) == 0
+        assert run("pipeline", "--trade", trade, "--gdp", gdp, "--epicenter", "AAA",
+                   "--out", out) == 0
         assert (out / "trade_gdp_ratio.csv").exists()
         assert (out / "total_trade.csv").exists()
         row = (out / "total_trade.csv").read_text().splitlines()[1]
         assert row == "2000,8"
 
     def test_missing_file_exit_2(self, tmp_path):
-        assert run("ccc-series", "--trade", tmp_path / "nope.csv",
+        assert run("pipeline", "--trade", tmp_path / "nope.csv",
                    "--out", tmp_path / "o") == 2
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("year,reporter,partner,value_usd\n2000,AAA,BBB,x\n")
-        assert run("ccc-series", "--trade", bad, "--out", tmp_path / "o") == 2
+        assert run("pipeline", "--trade", bad, "--out", tmp_path / "o") == 2
 
     def test_all_degenerate_exit_3(self, tmp_path):
         trade = tmp_path / "trade.csv"
         trade.write_text("year,reporter,partner,value_usd\n2000,AAA,BBB,3\n")
-        assert run("ccc-series", "--trade", trade, "--out", tmp_path / "o") == 3
+        assert run("pipeline", "--trade", trade, "--out", tmp_path / "o") == 3
+
+    def test_run_panel_without_config_runs_no_fig4(self, small_inputs):
+        trade, gdp = small_inputs
+        run = pipeline.run_panel(cli.load_trade(trade),
+                                 cli.load(ingest.parse_gdp_csv, gdp))
+        assert run.totals[0] == (2000, 8.0)
+        assert [year for year, _ in run.ratios] == [2000, 2001]
+        assert (run.fig4, run.failures, run.shift) == (None, [], None)
 
     @staticmethod
     def six_country_years(year_2000_value, scale=1):
@@ -113,7 +125,7 @@ class TestCccSeries:
             trade.write_text(self.six_country_years(self.HUGE[case], scale))
             out = tmp_path / f"out{k}"
             with caplog.at_level("WARNING"):
-                assert run("ccc-series", "--trade", trade, "--out", out) == 0
+                assert run("pipeline", "--trade", trade, "--out", out) == 0
             texts.append((out / "ccc_series.csv").read_text())
             net = ingest.build_network(cli.load_trade(trade), 2000)
             cccs.append(metrics.ccc_of_network(net).ccc)
@@ -135,7 +147,7 @@ class TestCccSeries:
         )
         out = tmp_path / "out"
         with caplog.at_level("WARNING"):
-            assert run("ccc-series", "--trade", trade, "--out", out) == 0
+            assert run("pipeline", "--trade", trade, "--out", out) == 0
         rows = (out / "ccc_series.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["2001"]
         assert "bilateral trade of year 2000 overflows" in caplog.text
@@ -332,9 +344,11 @@ class TestScenarioGoldenBytes:
 
 
 class TestRecessionsTest:
+    """pipeline's recessions_test.json."""
+
     def test_output(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"
-        assert run("recessions-test",
+        assert run("pipeline",
                    "--trade", fixtures_dir / "trade.csv",
                    "--recessions", fixtures_dir / "recessions.csv",
                    "--out", out) == 0
@@ -342,7 +356,7 @@ class TestRecessionsTest:
         assert set(result) == {"D", "p", "method", "before", "after",
                                "one_sided_p"}
         assert len(result["before"]) == 2
-        # the same file as pipeline's on the same inputs
+        # the same file as with --gdp on the same inputs
         assert (hashlib.sha256((out / "recessions_test.json").read_bytes()).hexdigest()
                 == TestPipeline.GOLDEN["recessions_test.json"])
 
@@ -350,23 +364,16 @@ class TestRecessionsTest:
         trade, _ = small_inputs
         rec = tmp_path / "rec.csv"
         rec.write_text("label,start,end\nw,1980-01,1980-12\n")
-        assert run("recessions-test", "--trade", trade, "--recessions", rec,
+        assert run("pipeline", "--trade", trade, "--recessions", rec,
                    "--out", tmp_path / "o") == 3
 
     def test_header_only_file_exit_3(self, small_inputs, tmp_path, capsys):
         trade, _ = small_inputs
         rec = tmp_path / "rec.csv"
         rec.write_text("label,start,end\n")
-        assert run("recessions-test", "--trade", trade, "--recessions", rec,
+        assert run("pipeline", "--trade", trade, "--recessions", rec,
                    "--out", tmp_path / "o") == 3
         assert "no recession windows" in capsys.readouterr().err
-
-    def test_recessions_flag_required(self, small_inputs, tmp_path, capsys):
-        trade, _ = small_inputs
-        with pytest.raises(SystemExit) as exc:
-            run("recessions-test", "--trade", trade, "--out", tmp_path / "o")
-        assert exc.value.code == 2
-        assert "--recessions" in capsys.readouterr().err
 
 
 class TestRecessionsTestTwelveWindows:
@@ -374,7 +381,7 @@ class TestRecessionsTestTwelveWindows:
     assignments, and no scipy module loads."""
 
     @pytest.fixture
-    def argv(self, tmp_path):
+    def inputs(self, tmp_path):
         rng = np.random.default_rng(0)
         codes = ["AAA", "BBB", "CCC", "DDD"]
         trade = tmp_path / "trade.csv"
@@ -388,8 +395,28 @@ class TestRecessionsTestTwelveWindows:
         rec.write_text("label,start,end\n" + "".join(
             f"w{i},{year}-01,{year}-12\n"
             for i, year in enumerate([1991, 1992, 1995, 1996, 1999, 2000] * 2)))
-        return ["recessions-test", f"--trade={trade}", f"--recessions={rec}",
+        return trade, rec
+
+    @pytest.fixture
+    def argv(self, inputs, tmp_path):
+        trade, rec = inputs
+        return ["pipeline", f"--trade={trade}", f"--recessions={rec}",
                 f"--out={tmp_path / 'out'}"]
+
+    @staticmethod
+    def scipy_modules(code, args, env):
+        """The value a child running code with args sets as first, and the
+        scipy modules loaded when it is done."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys\n" + code +
+             "print(json.dumps([first, sorted(m for m in sys.modules\n"
+             "                                if m.split('.')[0] == 'scipy')]))",
+             *args],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
 
     def test_p_values_equal_scipy_exact(self, argv, tmp_path):
         import scipy.stats
@@ -407,18 +434,19 @@ class TestRecessionsTestTwelveWindows:
         assert result["one_sided_p"] == pytest.approx(greater.pvalue, rel=1e-11)
 
     def test_loads_no_scipy(self, argv, package_env):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import json, sys\n"
-             "from tradetopo.cli import main\n"
-             "code = main(json.loads(sys.argv[1]))\n"
-             "print(json.dumps([code, sorted(m for m in sys.modules\n"
-             "                               if m.split('.')[0] == 'scipy')]))",
-             json.dumps(argv)],
-            capture_output=True, text=True, env=package_env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, []]
+        assert self.scipy_modules(
+            "from tradetopo.cli import main\n"
+            "first = main(json.loads(sys.argv[1]))\n",
+            [json.dumps(argv)], package_env) == [0, []]
+
+    def test_run_panel_without_gdp_loads_no_scipy(self, inputs, package_env):
+        assert self.scipy_modules(
+            "from tradetopo import ingest, pipeline\n"
+            "with open(sys.argv[1]) as trade, open(sys.argv[2]) as rec:\n"
+            "    run = pipeline.run_panel(ingest.parse_trade_csv(trade),\n"
+            "                             windows=ingest.parse_recessions(rec))\n"
+            "first = run.shift['method']\n",
+            [str(path) for path in inputs], package_env) == ["exact-permutation", []]
 
 
 class TestPipeline:
@@ -514,6 +542,9 @@ class TestPipeline:
         with open(out / "ccc_series.csv", newline="") as fh:
             assert list(csv.reader(fh)) == expected
         assert len(expected) == 13
+        series = pipeline.run_panel(cli.load_trade(fixtures_dir / "trade.csv")).series
+        assert [[str(p.year), f"{p.ccc:.12g}", str(p.n_countries)]
+                for p in series] == expected[1:]
 
     def test_fig4_equals_composed_oracles(self, fixtures_dir, tmp_path):
         # each year from the definitions: summed flows, the fixture's GDPs
@@ -564,15 +595,25 @@ class TestPipeline:
         assert self.run_fixture(fixtures_dir, out) == 0
         fig4a = self.csv_records(out / "fig4a.csv")
         fig4b = self.csv_records(out / "fig4b.csv")
+        assert [r[:2] for r in fig4a] == [r[:2] for r in fig4b]
+        written = [(int(year), ccc, float(f), float(change), float(lam))
+                   for (year, ccc, f), (*_, change, lam) in zip(fig4a, fig4b)]
+        # run_panel's record, unrounded, to the same bounds
+        fig4 = pipeline.run_panel(
+            cli.load_trade(fixtures_dir / "trade.csv"),
+            cli.load(ingest.parse_gdp_csv, fixtures_dir / "gdp.csv"),
+            config=config).fig4
+        recorded = [(p.year, f"{p.ccc:.12g}", s["impact_ratio"],
+                     s["world_gdp_change"], s["lambda"]) for p, s in fig4]
         assert len(expected) == 12
-        assert [int(r[0]) for r in fig4a] == sorted(expected)
-        assert [int(r[0]) for r in fig4b] == sorted(expected)
-        for (year, ccc_a, f), (_, ccc_b, change, lam) in zip(fig4a, fig4b):
-            want_ccc, want_f, want_change, want_lam = expected[int(year)]
-            assert ccc_a == ccc_b == f"{want_ccc:.12g}"
-            assert float(f) == pytest.approx(want_f, rel=1e-11, abs=0)
-            assert float(change) == pytest.approx(want_change, rel=1e-11, abs=0)
-            assert float(lam) == pytest.approx(want_lam, rel=1e-6, abs=0)
+        for rows in (written, recorded):
+            assert [r[0] for r in rows] == sorted(expected)
+            for year, ccc, f, change, lam in rows:
+                want_ccc, want_f, want_change, want_lam = expected[year]
+                assert ccc == f"{want_ccc:.12g}"
+                assert f == pytest.approx(want_f, rel=1e-11, abs=0)
+                assert change == pytest.approx(want_change, rel=1e-11, abs=0)
+                assert lam == pytest.approx(want_lam, rel=1e-6, abs=0)
 
     def test_each_stage_runs_once(self, fixtures_dir, tmp_path, monkeypatch):
         calls = {}
@@ -595,6 +636,30 @@ class TestPipeline:
         assert calls == {"parse_trade_csv": 1, "parse_gdp_csv": 1,
                          "ccc_series": 1, "shock_and_recover": 12,
                          "_observed_gaps": 1}
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="CPython 3.10 keeps call arguments on the caller's stack")
+    def test_parsed_rows_freed_before_the_ccc_series(self, fixtures_dir, tmp_path,
+                                                      monkeypatch):
+        # pipeline's peak memory rests on this CPython detail: cmd_pipeline
+        # passes the parsed panel to run_panel by no name, so the callee's
+        # del frees it
+        parse, ccc_series, panels, alive = (ingest.parse_trade_csv,
+                                            metrics.ccc_series, [], [])
+
+        def parse_and_watch(stream):
+            panel = parse(stream)
+            panels.append(weakref.ref(panel))
+            return panel
+
+        def watched_series(nets):
+            alive.append(panels[0]() is not None)
+            return ccc_series(nets)
+
+        monkeypatch.setattr(ingest, "parse_trade_csv", parse_and_watch)
+        monkeypatch.setattr(metrics, "ccc_series", watched_series)
+        assert self.run_fixture(fixtures_dir, tmp_path / "out") == 0
+        assert alive == [False]
 
     def test_missing_gdp_file_writes_nothing(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"
@@ -777,14 +842,14 @@ class TestExitCodes:
     # case also gets --out
     CASES = {
         "parse_error": (
-            2, "line 2: negative trade value", "ccc-series --trade {d}/bad.csv"),
+            2, "line 2: negative trade value", "pipeline --trade {d}/bad.csv"),
         "missing_gdp_row": (
             2, "no GDP data for: CCC",
             "shock --trade {d}/trade.csv --gdp {d}/gdp_no_ccc.csv --year 2000"
             " --epicenter AAA"),
         "window_outside_series": (
             3, "CCC series does not cover window(s): w",
-            "recessions-test --trade {d}/trade.csv --recessions {d}/rec.csv"),
+            "pipeline --trade {d}/trade.csv --recessions {d}/rec.csv"),
         "no_year_in_range": (
             3, "no year produced a CCC value",
             "pipeline --trade {d}/trade.csv --years 1900:1901"),
@@ -796,7 +861,7 @@ class TestExitCodes:
             3, "'XYZ' not in state",
             "pipeline --trade {d}/trade.csv --gdp {d}/gdp.csv --epicenter XYZ"),
         "trade_is_directory": (
-            2, "Is a directory", "ccc-series --trade {d}"),
+            2, "Is a directory", "pipeline --trade {d}"),
         "no_convergence": (
             4, "no steady state after 1 steps",
             "shock --trade {d}/trade.csv --gdp {d}/gdp.csv --year 2000"
@@ -855,14 +920,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", [
         "2000:1995", "1995-2000", "1995:", ":2000", "1995", "a:b", "1995:2000:2005",
     ])
-    @pytest.mark.parametrize("command", ["ccc-series", "recessions-test", "pipeline"])
+    # each id but pipeline's names the former command whose inputs pipeline reads
+    @pytest.mark.parametrize("inputs", [["--gdp"], ["--recessions"],
+                                        ["--gdp", "--recessions"]],
+                             ids=["ccc-series", "recessions-test", "pipeline"])
     def test_bad_year_range_exits_before_reading(
-            self, command, value, tmp_path, capsys):
-        # --trade and --recessions name no file: the range fails first
+            self, inputs, value, tmp_path, capsys):
+        # no input names a file: the range fails first
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            run(command, "--trade", tmp_path / "missing.csv",
-                "--recessions", tmp_path / "missing.csv",
+            run("pipeline", "--trade", tmp_path / "missing.csv",
+                *(arg for name in inputs for arg in (name, tmp_path / "missing.csv")),
                 "--years", value, "--out", out)
         assert exc.value.code == 2
         err = capsys.readouterr().err
@@ -886,28 +954,30 @@ class TestExitCodes:
 
     def test_one_year_range(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"
-        assert run("ccc-series", "--trade", fixtures_dir / "trade.csv",
+        assert run("pipeline", "--trade", fixtures_dir / "trade.csv",
                    "--years", "1996:1996", "--out", out) == 0
         rows = (out / "ccc_series.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows] == ["year", "1996"]
 
+    # each id that names ccc-series or recessions-test gives pipeline the
+    # inputs of that former command
     @pytest.mark.parametrize("argv", [
         # tables are CSV only: --format is gone
-        ["ccc-series", "--years", "1995:2000", "--format", "json"],
+        ["pipeline", "--gdp=gdp.csv", "--years=1995:2000", "--format", "json"],
         ["dendrogram", "--year", "2000", "--format", "json"],
         ["shock", "--gdp=gdp.csv", "--year=2000", "--format", "json"],
         ["recover", "--gdp=gdp.csv", "--year=2000", "--format", "json"],
         ["pipeline", "--years", "1995:2000", "--format", "json"],
         ["dendrogram", "--year", "2000", "--gdp", "nope.csv", "--shock", "5"],
         # the trade network is always M = X + X^T: --mode is gone
-        ["ccc-series", "--years", "1995:2000", "--mode", "sum"],
+        ["pipeline", "--gdp=gdp.csv", "--years=1995:2000", "--mode", "sum"],
         ["dendrogram", "--year", "2000", "--mode", "max"],
-        ["recessions-test", "--recessions", "r.csv", "--mode", "sum"],
+        ["pipeline", "--recessions", "r.csv", "--mode", "sum"],
         ["pipeline", "--years", "1995:2000", "--mode", "sum"],
-        # a series command selects its years with --years alone, and no
-        # option is matched by a prefix of its name
-        ["ccc-series", "--gdp", "gdp.csv", "--year", "2000"],
-        ["recessions-test", "--recessions", "r.csv", "--year", "2000"],
+        # pipeline selects its years with --years alone, and no option is
+        # matched by a prefix of its name
+        ["pipeline", "--gdp", "gdp.csv", "--year", "2000"],
+        ["pipeline", "--recessions", "r.csv", "--year", "2000"],
         ["pipeline", "--years", "1995:2000", "--year", "2000"],
     ], ids=["ccc-series-format", "dendrogram-format", "shock-format",
             "recover-format", "pipeline-format",
@@ -926,15 +996,28 @@ class TestExitCodes:
         assert f"error: unrecognized arguments: {' '.join(argv[3:])}\n" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ccc-series", "recessions-test"])
+    def test_removed_command_is_unknown(self, command, small_inputs, tmp_path,
+                                        capsys):
+        # pipeline writes what each wrote
+        trade, _ = small_inputs
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--trade", trade, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and repr(command) in err
+        assert not out.exists()
+
 
 class TestByteOrderMark:
     # Excel's "CSV UTF-8" format starts the file with U+FEFF; quoting the
     # first data row sends the trade file to the row parser
     @pytest.mark.parametrize("argv, name, quote", [
-        (["ccc-series"], "trade.csv", False),
-        (["ccc-series"], "trade.csv", True),
+        (["pipeline"], "trade.csv", False),
+        (["pipeline"], "trade.csv", True),
         (["shock", "--gdp", "gdp.csv", "--year", "2000"], "gdp.csv", False),
-        (["recessions-test", "--recessions", "recessions.csv"],
+        (["pipeline", "--recessions", "recessions.csv"],
          "recessions.csv", False),
     ], ids=["trade", "trade-row-parser", "gdp", "recessions"])
     def test_same_bytes_as_without(self, argv, name, quote, fixtures_dir,
@@ -1074,7 +1157,7 @@ class TestAtomicWrite:
         out = tmp_path / "out"
         previous = os.umask(umask)
         try:
-            assert run("ccc-series", "--trade", trade, "--out", out) == 0
+            assert run("pipeline", "--trade", trade, "--out", out) == 0
             assert run("dendrogram", "--trade", trade, "--year", 2000,
                        "--out", out) == 0
         finally:
@@ -1205,8 +1288,8 @@ class TestBlasThreads:
         assert self.thread_env({**clean_env, name: "2"}) == want
 
     def test_library_import_leaves_environment_alone(self, clean_env):
-        assert self.thread_env(clean_env, "tradetopo.metrics") == {
-            v: None for v in self.VARS}
+        for module in ("tradetopo.metrics", "tradetopo.pipeline"):
+            assert self.thread_env(clean_env, module) == {v: None for v in self.VARS}
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts threads in /proc/self/task")
@@ -1244,12 +1327,11 @@ class TestWithoutScipy:
                "from tradetopo.cli import main; sys.exit(main(sys.argv[1:]))")
 
     @pytest.mark.parametrize("argv", [
-        ["ccc-series", "--gdp", "gdp.csv"],
+        ["pipeline"],  # the CCC series alone
         ["dendrogram", "--year", "2000"],
-        ["recessions-test", "--recessions", "recessions.csv"],
         ["shock", "--gdp", "gdp.csv", "--year", "2000"],
         ["pipeline", "--recessions", "recessions.csv"],
-    ], ids=lambda argv: argv[0])
+    ], ids=["ccc-series", "dendrogram", "shock", "pipeline"])
     def test_same_bytes_with_scipy_blocked(self, argv, fixtures_dir, tmp_path,
                                            package_env):
         argv = [str(fixtures_dir / a) if a.endswith(".csv") else a for a in argv]

@@ -152,9 +152,8 @@ def cmd_scenario(args):
     trace, summary = pipeline.scenario(state, shock_config(args), recover)
     phase = "recovery" if recover else "shock"
     _write_trace(f"{phase}_trace_{args.year}", trace, args)
-    # every trace the library returns is steady
     write_json(args.out, f"{phase}_summary_{args.year}",
-               {**summary, "steps": len(trace.steps), "converged": True})
+               {**summary, "steps": len(trace.steps)})
     return EXIT_OK
 
 
@@ -163,8 +162,9 @@ def cmd_pipeline(args):
     # run_panel frees them before its CCC stage
     run = pipeline.run_panel(
         load_trade(args.trade),
-        load(ingest.parse_gdp_csv, args.gdp) if args.gdp else None,
-        load(ingest.parse_recessions, args.recessions) if args.recessions else None,
+        load(ingest.parse_gdp_csv, args.gdp) if args.gdp is not None else None,
+        load(ingest.parse_recessions, args.recessions)
+        if args.recessions is not None else None,
         args.years, shock_config(args))
     write_table(args.out, "ccc_series", ["year", "ccc", "n_countries"],
                 [(p.year, p.ccc, p.n_countries) for p in run.series])

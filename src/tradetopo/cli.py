@@ -1,18 +1,19 @@
-"""Command-line batch pipelines over trade/GDP/recession CSV inputs.
-
-load(parse, path) reads every input file, write_table writes every table
-as CSV and write_json every record as JSON; the results come from the
-library, all of pipeline's from pipeline.run_panel. Each command computes
-every result before its first write, so an error leaves no partial
-output, with one exception: pipeline still writes its CCC outputs and
-recessions_test.json when every year's shock scenario fails. Exit codes,
-chosen in main() by the class of the error: 0 success, 2 input/parse
-error (ParseError, MissingGdp, a missing or unreadable file, a bad option
-value; ImportError when the recovery fit finds no scipy), 3 empty or
-degenerate result (Degenerate), 4 non-convergence (NoConvergence). In
-pipeline a shock scenario that fails at any point, its summary values
-included, skips its year; a run in which every year fails exits 4 if each
-failure was NoConvergence, 3 otherwise. All floats in output files use 12
+"""Command-line batch pipelines over trade/GDP/recession CSV inputs:
+dendrogram (one year's tree), recover (one year's shock and recovery,
+from pipeline.scenario) and pipeline (every result of a panel, from
+pipeline.run_panel). load(parse, path) reads every input file,
+write_table writes every table as CSV and write_json every record as
+JSON. Each command computes every result before its first write, so an
+error leaves no partial output, with one exception: pipeline still
+writes its CCC outputs and recessions_test.json when every year's shock
+scenario fails. Exit codes, chosen in main() by the class of the error:
+0 success, 2 input/parse error (ParseError, MissingGdp, a missing or
+unreadable file, a bad option value, an empty --out; ImportError when
+the recovery fit finds no scipy), 3 empty or degenerate result
+(Degenerate), 4 non-convergence (NoConvergence). In pipeline a shock
+scenario that fails at any point, its summary values included, skips
+its year; a run in which every year fails exits 4 if each failure was
+NoConvergence, 3 otherwise. All floats in output files use 12
 significant digits so repeated runs are byte-identical.
 """
 
@@ -133,27 +134,20 @@ def cmd_dendrogram(args):
     return EXIT_OK
 
 
-def _write_trace(path_stem, trace, args):
-    rows = [
-        (t, country, float(y[i]))
-        for t, y in enumerate(trace.steps)
-        for i, country in enumerate(trace.countries)
-    ]
-    write_table(args.out, path_stem, ["step", "country", "gdp"], rows)
-
-
-def cmd_scenario(args):
-    """shock runs run_to_steady, recover the whole shock_and_recover
-    scenario; each writes its last phase's trace, then a JSON summary."""
+def cmd_recover(args):
+    """args.year's shock scenario: the trace and summary of each phase,
+    shock then recovery; the shock's summary holds only its two values."""
     panel, gdp = load_trade(args.trade), load(ingest.parse_gdp_csv, args.gdp)
-    countries, x = ingest.directed_flows(panel, args.year)
-    state = shockprop.year_state(args.year, countries, x, gdp)
-    recover = args.command == "recover"
-    trace, summary = pipeline.scenario(state, shock_config(args), recover)
-    phase = "recovery" if recover else "shock"
-    _write_trace(f"{phase}_trace_{args.year}", trace, args)
-    write_json(args.out, f"{phase}_summary_{args.year}",
-               {**summary, "steps": len(trace.steps)})
+    state = shockprop.year_state(args.year, *ingest.directed_flows(panel, args.year), gdp)
+    shock, recovery, summary = pipeline.scenario(state, shock_config(args))
+    shocked = {k: summary[k] for k in ("world_gdp_change", "impact_ratio")}
+    for phase, trace, record in (("shock", shock, shocked),
+                                 ("recovery", recovery, summary)):
+        write_table(args.out, f"{phase}_trace_{args.year}", ["step", "country", "gdp"],
+                    [(t, country, value) for t, y in enumerate(trace.steps)
+                     for country, value in zip(trace.countries, y.tolist())])
+        write_json(args.out, f"{phase}_summary_{args.year}",
+                   {**record, "steps": len(trace.steps)})
     return EXIT_OK
 
 
@@ -204,6 +198,13 @@ def _positive(convert, below=None):
     return check
 
 
+def _nonempty(text):
+    """An argparse type= that refuses "" (as --out: the working directory)."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _year_range(text):
     """An argparse type= for "A:B", two integers with A <= B."""
     try:
@@ -232,7 +233,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     trade = _parent("--trade", required=True, help="trade flow CSV")
-    out = _parent("--out", required=True, help="output directory")
+    out = _parent("--out", required=True, type=_nonempty, help="output directory")
     gdp = _parent("--gdp", help="GDP CSV")
     need_gdp = _parent("--gdp", required=True, help="GDP CSV")
     recessions = _parent("--recessions", help="recession windows CSV")
@@ -259,8 +260,7 @@ def build_parser():
         p.set_defaults(func=func)
 
     add("dendrogram", cmd_dendrogram, year, cut)
-    add("shock", cmd_scenario, need_gdp, year, shock)
-    add("recover", cmd_scenario, need_gdp, year, shock)
+    add("recover", cmd_recover, need_gdp, year, shock)
     add("pipeline", cmd_pipeline, gdp, recessions, years, shock)
     return parser
 

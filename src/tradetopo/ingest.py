@@ -42,8 +42,11 @@ class TradePanel:
         return len(self.value)
 
     def years(self) -> list[int]:
-        """The distinct years, sorted."""
-        return np.unique(self.year).tolist()
+        """The distinct years, sorted (from a sorted copy: faster than np.unique)."""
+        year = np.sort(self.year)
+        first = np.ones(len(year), dtype=bool)
+        first[1:] = year[1:] != year[:-1]
+        return year[first].tolist()
 
 
 @dataclass(frozen=True)

@@ -29,21 +29,16 @@ class PanelRun:
     shift: dict | None
 
 
-def scenario(state, config, recover):
-    """One year's shock scenario: run_to_steady, or with recover the whole
-    shock_and_recover. Returns its last trace and a summary: the world GDP
-    change and impact ratio of the shock, and with recover the fit's
-    lambda, a and y_inf."""
-    if recover:
-        shock, trace, fit = shockprop.shock_and_recover(state, config)
-        fitted = {"lambda": fit.lam, "a": fit.a, "y_inf": fit.y_inf}
-    else:
-        shock = trace = shockprop.run_to_steady(state, config)
-        fitted = {}
-    return trace, {
+def scenario(state, config):
+    """One year's shock scenario, shockprop.shock_and_recover. Returns the
+    shock trace, the recovery trace and a summary: the world GDP change
+    and impact ratio of the shock, and the recovery fit's lambda, a and
+    y_inf."""
+    shock, recovery, fit = shockprop.shock_and_recover(state, config)
+    return shock, recovery, {
         "world_gdp_change": shockprop.world_gdp_change(shock),
         "impact_ratio": shockprop.impact_ratio(shock, config.epicenter),
-        **fitted,
+        "lambda": fit.lam, "a": fit.a, "y_inf": fit.y_inf,
     }
 
 
@@ -83,7 +78,7 @@ def run_panel(panel, gdp=None, windows=None, years=None, config=None) -> PanelRu
         for point in series:
             try:
                 state = shockprop.year_state(point.year, *flows[point.year], gdp)
-                fig4.append((point, scenario(state, config, recover=True)[1]))
+                fig4.append((point, scenario(state, config)[2]))
             except (TradeTopoError, ValueError) as exc:
                 log.warning("year %d: shock scenario skipped: %s", point.year,
                             str(exc))

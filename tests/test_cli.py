@@ -229,22 +229,54 @@ class TestShareMatrix:
         assert sorted(header) == ["AAA", "BBB", "CCC"]
 
 
-class TestShock:
-    def test_summary_matches_library(self, small_inputs, tmp_path):
+class TestRecover:
+    FILES = ["recovery_summary_2000.json", "recovery_trace_2000.csv",
+             "shock_summary_2000.json", "shock_trace_2000.csv"]
+
+    @staticmethod
+    def state(trade, gdp, year):
+        countries, x = ingest.directed_flows(cli.load_trade(trade), year)
+        return shockprop.year_state(year, countries, x,
+                                    cli.load(ingest.parse_gdp_csv, gdp))
+
+    def test_summary_fields(self, small_inputs, tmp_path):
         trade, gdp = small_inputs
         out = tmp_path / "out"
-        assert run("shock", "--trade", trade, "--gdp", gdp, "--year", 2000,
+        assert run("recover", "--trade", trade, "--gdp", gdp, "--year", 2000,
+                   "--epicenter", "AAA", "--out", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == self.FILES
+        summary = json.loads((out / "recovery_summary_2000.json").read_text())
+        assert set(summary) == {
+            "world_gdp_change", "impact_ratio", "lambda", "a", "y_inf", "steps",
+        }
+        assert summary["lambda"] > 0
+
+    def test_shock_phase_matches_library(self, small_inputs, tmp_path):
+        trade, gdp = small_inputs
+        out = tmp_path / "out"
+        assert run("recover", "--trade", trade, "--gdp", gdp, "--year", 2000,
                    "--epicenter", "AAA", "--out", out) == 0
         summary = json.loads((out / "shock_summary_2000.json").read_text())
         assert set(summary) == {"world_gdp_change", "impact_ratio", "steps"}
+        recovery = json.loads((out / "recovery_summary_2000.json").read_text())
+        for key in ("world_gdp_change", "impact_ratio"):
+            assert summary[key] == recovery[key]
+        shock = shockprop.run_to_steady(self.state(trade, gdp, 2000),
+                                        shockprop.ShockConfig(epicenter="AAA"))
+        assert summary["steps"] == len(shock.steps)
+        assert summary["world_gdp_change"] == float(
+            cli.fmt(shockprop.world_gdp_change(shock)))
         assert summary["world_gdp_change"] < 0
         trace = (out / "shock_trace_2000.csv").read_text().splitlines()
         assert trace[0] == "step,country,gdp"
         assert trace[1].startswith("0,AAA,")
+        assert len(trace) == 1 + 3 * len(shock.steps)
 
-    def test_zero_trade_impact_ratio(self, tmp_path):
+    def test_zero_trade_has_no_recovery_to_fit(self, tmp_path, capsys):
+        # the shock moves only the epicenter, in one step, and so does its
+        # restoration: the recovery has no curve to fit (exit 3). The zero
+        # impact ratio of such a shock is TestImpactRatio's, in the library
         trade = tmp_path / "trade.csv"
-        # one-way flow: BBB never exports, AAA exports to BBB
         trade.write_text(
             "year,reporter,partner,value_usd\n2000,BBB,AAA,0\n2000,CCC,AAA,0\n"
             "2000,AAA,BBB,0\n"
@@ -253,33 +285,11 @@ class TestShock:
         gdp.write_text("year,country,gdp_usd\n2000,AAA,100\n2000,BBB,100\n"
                        "2000,CCC,100\n")
         out = tmp_path / "out"
-        assert run("shock", "--trade", trade, "--gdp", gdp, "--year", 2000,
-                   "--epicenter", "AAA", "--out", out) == 0
-        summary = json.loads((out / "shock_summary_2000.json").read_text())
-        assert summary["impact_ratio"] == 0.0
-
-    def test_max_steps_exit_4_writes_nothing(self, small_inputs, tmp_path,
-                                             capsys):
-        trade, gdp = small_inputs
-        out = tmp_path / "out"
-        assert run("shock", "--trade", trade, "--gdp", gdp, "--year", 2000,
-                   "--epicenter", "AAA", "--max-steps", 1, "--out", out) == 4
-        assert "error: shock: no steady state after 1 steps" in (
-            capsys.readouterr().err)
-        assert not out.exists()
-
-
-class TestRecover:
-    def test_summary_fields(self, small_inputs, tmp_path):
-        trade, gdp = small_inputs
-        out = tmp_path / "out"
         assert run("recover", "--trade", trade, "--gdp", gdp, "--year", 2000,
-                   "--epicenter", "AAA", "--out", out) == 0
-        summary = json.loads((out / "recovery_summary_2000.json").read_text())
-        assert set(summary) == {
-            "world_gdp_change", "impact_ratio", "lambda", "a", "y_inf", "steps",
-        }
-        assert summary["lambda"] > 0
+                   "--epicenter", "AAA", "--out", out) == 3
+        assert capsys.readouterr().err == (
+            "error: only 1 points below the final value\n")
+        assert not out.exists()
 
     def recover_fixture(self, fixtures_dir, out, year, max_steps):
         return run("recover", "--trade", fixtures_dir / "trade.csv",
@@ -295,54 +305,64 @@ class TestRecover:
 
     def test_recovery_phase_stalls(self, fixtures_dir, tmp_path, capsys):
         # the 2005 shock converges in 18 steps, its recovery needs 19
-        shock_out, out = tmp_path / "shock", tmp_path / "out"
-        assert run("shock", "--trade", fixtures_dir / "trade.csv",
-                   "--gdp", fixtures_dir / "gdp.csv", "--year", 2005,
-                   "--max-steps", 18, "--out", shock_out) == 0
-        capsys.readouterr()
+        state = self.state(fixtures_dir / "trade.csv", fixtures_dir / "gdp.csv", 2005)
+        shockprop.run_to_steady(state, shockprop.ShockConfig("USA", max_steps=18))
+        out = tmp_path / "out"
         assert self.recover_fixture(fixtures_dir, out, 2005, 18) == 4
         assert "error: recovery: no steady state after 18 steps" in (
             capsys.readouterr().err)
         assert not out.exists()
 
 
-class TestScenarioGoldenBytes:
-    """SHA-256 of the shock and recover outputs on tests/fixtures: the
-    traces recorded before the two commands shared one body and
-    shockprop's scenario, the summaries when their constant "converged"
-    key was dropped (each the earlier summary less that key)."""
+class TestShock:
+    """recover's shock phase, which the former shock command ran alone."""
 
-    TRACE = {
-        "shock":
+    def test_max_steps_exit_4_writes_nothing(self, small_inputs, tmp_path,
+                                             capsys):
+        trade, gdp = small_inputs
+        out = tmp_path / "out"
+        assert run("recover", "--trade", trade, "--gdp", gdp, "--year", 2000,
+                   "--epicenter", "AAA", "--max-steps", 1, "--out", out) == 4
+        assert "error: shock: no steady state after 1 steps" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestScenarioGoldenBytes:
+    """SHA-256 of one recover run's outputs on tests/fixtures: the traces
+    recorded before the former shock command and recover shared one body
+    and shockprop's scenario, the summaries when their constant
+    "converged" key was dropped (each the earlier summary less that key).
+    The shock files are those the shock command wrote."""
+
+    DIGESTS = {
+        "shock_trace_2003.csv":
             "d154cc59074b72670057ef0a4685d1e410282a3b39db4360243e1d866f5ed207",
-        "recover":
-            "9c6fa9da9704c412a9293ac8c648dca541c9f844f5f665a2690b7e5c0b5705ed",
-    }
-    SUMMARY = {
-        "shock":
+        "shock_summary_2003.json":
             "266e4abbd31b40f76c924a757fb4c8bc994714f5ee809c21a5497620965c969c",
-        "recover":
+        "recovery_trace_2003.csv":
+            "9c6fa9da9704c412a9293ac8c648dca541c9f844f5f665a2690b7e5c0b5705ed",
+        "recovery_summary_2003.json":
             "6e78a36ea28552c219cce8c6dbbbd9106b30e97720af2a6c2ceecf9becc2a063",
     }
 
-    def run_fixture(self, fixtures_dir, out, command, *options):
-        return run(command, "--trade", fixtures_dir / "trade.csv",
-                   "--gdp", fixtures_dir / "gdp.csv", *options, "--out", out)
-
-    @staticmethod
-    def digests(out):
+    @pytest.fixture(scope="class")
+    def digests(self, fixtures_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("scenario") / "out"
+        assert run("recover", "--trade", fixtures_dir / "trade.csv",
+                   "--gdp", fixtures_dir / "gdp.csv", "--year", 2003,
+                   "--out", out) == 0
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.iterdir()}
 
-    @pytest.mark.parametrize("command", TRACE, ids=["shock-csv", "recover-csv"])
-    def test_output_bytes(self, command, fixtures_dir, tmp_path):
-        out = tmp_path / "out"
-        assert self.run_fixture(fixtures_dir, out, command, "--year", 2003) == 0
-        phase = "shock" if command == "shock" else "recovery"
-        assert self.digests(out) == {
-            f"{phase}_trace_2003.csv": self.TRACE[command],
-            f"{phase}_summary_2003.json": self.SUMMARY[command],
-        }
+    @pytest.mark.parametrize("phase", ["shock", "recovery"],
+                             ids=["shock-csv", "recover-csv"])
+    def test_output_bytes(self, phase, digests):
+        assert sorted(digests) == sorted(self.DIGESTS)
+        assert {name: digests[name] for name in digests
+                if name.startswith(phase)} == {
+            name: digest for name, digest in self.DIGESTS.items()
+            if name.startswith(phase)}
 
 
 class TestRecessionsTest:
@@ -509,6 +529,57 @@ class TestPipeline:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir()}
         assert digests == self.GOLDEN
+
+    @staticmethod
+    def rewrite(path, out, rows_of):
+        """Copy the CSV file path to out, each data row r (a list of text
+        fields) replaced by the rows rows_of(r) returns."""
+        lines = path.read_text().splitlines()
+        rows = rows_of([line.split(",") for line in lines[1:]])
+        out.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+        return out
+
+    def test_units_move_only_lambda(self, fixtures_dir, tmp_path):
+        # every flow and GDP times 2**10, exactly (the fixture's integers):
+        # CCC, F, the trade/GDP ratio, the KS test and the world GDP change
+        # keep their bytes; lambda comes from a fit that stops where its
+        # step tolerance lets it, which moved it by at most 1.2e-7 relative
+        def scaled(column):
+            return lambda rows: [[*r[:column], str(int(r[column]) * 1024)]
+                                 for r in rows]
+        inputs = {"trade": self.rewrite(fixtures_dir / "trade.csv",
+                                        tmp_path / "trade.csv", scaled(3)),
+                  "gdp": self.rewrite(fixtures_dir / "gdp.csv",
+                                      tmp_path / "gdp.csv", scaled(2))}
+        out, base = tmp_path / "out", tmp_path / "base"
+        assert self.run_fixture(fixtures_dir, out, **inputs) == 0
+        assert self.run_fixture(fixtures_dir, base) == 0
+        for name in ("ccc_series.csv", "fig4a.csv", "trade_gdp_ratio.csv",
+                     "recessions_test.json"):
+            assert (out / name).read_bytes() == (base / name).read_bytes(), name
+        fig4b = [self.csv_records(d / "fig4b.csv") for d in (out, base)]
+        assert len(fig4b[0]) == len(fig4b[1]) == 12
+        for got, want in zip(*fig4b):
+            assert got[:3] == want[:3]
+            assert math.isclose(float(got[3]), float(want[3]), rel_tol=1e-6)
+        totals = [
+            pipeline.run_panel(cli.load_trade(d / "trade.csv"),
+                               cli.load(ingest.parse_gdp_csv, d / "gdp.csv")).totals
+            for d in (fixtures_dir, tmp_path)]
+        assert totals[1] == [(year, total * 1024) for year, total in totals[0]]
+
+    def test_flows_split_into_two_rows(self, fixtures_dir, tmp_path):
+        # each flow v as two rows of its year, v // 2 and, after every
+        # first half, v - v // 2: the sums are of integers below 2**53,
+        # exact in any order, so no output byte moves
+        def split(rows):
+            return ([[*r[:3], str(int(r[3]) // 2)] for r in rows]
+                    + [[*r[:3], str(int(r[3]) - int(r[3]) // 2)] for r in rows])
+        out = tmp_path / "out"
+        trade = self.rewrite(fixtures_dir / "trade.csv", tmp_path / "trade.csv", split)
+        assert self.run_fixture(fixtures_dir, out, trade=trade) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == self.GOLDEN
 
     @staticmethod
     def csv_records(path):
@@ -913,7 +984,7 @@ class TestExitCodes:
             2, "line 2: negative trade value", "pipeline --trade {d}/bad.csv"),
         "missing_gdp_row": (
             2, "no GDP data for: CCC",
-            "shock --trade {d}/trade.csv --gdp {d}/gdp_no_ccc.csv --year 2000"
+            "recover --trade {d}/trade.csv --gdp {d}/gdp_no_ccc.csv --year 2000"
             " --epicenter AAA"),
         "window_outside_series": (
             3, "CCC series does not cover window(s): w",
@@ -923,7 +994,7 @@ class TestExitCodes:
             "pipeline --trade {d}/trade.csv --years 1900:1901"),
         "unknown_epicenter": (
             3, "'XYZ' not in state",
-            "shock --trade {d}/trade.csv --gdp {d}/gdp.csv --year 2000"
+            "recover --trade {d}/trade.csv --gdp {d}/gdp.csv --year 2000"
             " --epicenter XYZ"),
         "unknown_epicenter_pipeline": (
             3, "'XYZ' not in state",
@@ -932,7 +1003,7 @@ class TestExitCodes:
             2, "Is a directory", "pipeline --trade {d}"),
         "no_convergence": (
             4, "no steady state after 1 steps",
-            "shock --trade {d}/trade.csv --gdp {d}/gdp.csv --year 2000"
+            "recover --trade {d}/trade.csv --gdp {d}/gdp.csv --year 2000"
             " --epicenter AAA --max-steps 1"),
     }
 
@@ -954,8 +1025,9 @@ class TestExitCodes:
         ("--tol", "0"), ("--tol", "-0.5"), ("--tol", "nan"),
         ("--max-steps", "0"), ("--max-steps", "-5"),
     ])
+    # the shock id names the former command, whose options recover reads
     @pytest.mark.parametrize("command", [
-        ["shock", "--year", "2000"], ["pipeline"],
+        ["recover", "--year", "2000"], ["pipeline"],
     ], ids=["shock", "pipeline"])
     def test_bad_solver_option_writes_nothing(
             self, command, option, value, small_inputs, tmp_path, capsys):
@@ -970,8 +1042,9 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1.5", "1", "0", "-0.1", "nan"])
+    # the shock id names the former command, whose options recover reads
     @pytest.mark.parametrize("command", [
-        ["shock", "--year", "2000"], ["pipeline"],
+        ["recover", "--year", "2000"], ["pipeline"],
     ], ids=["shock", "pipeline"])
     def test_shock_out_of_range_writes_nothing(
             self, command, value, small_inputs, tmp_path, capsys):
@@ -1016,6 +1089,26 @@ class TestExitCodes:
         assert err == "error: [Errno 2] No such file or directory: ''\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["dendrogram", "--year", "2000"],
+        ["recover", "--gdp", "gdp.csv", "--year", "2000", "--epicenter", "AAA"],
+        ["pipeline", "--gdp", "gdp.csv", "--epicenter", "AAA"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_out_is_a_usage_error(self, argv, small_inputs, tmp_path,
+                                        monkeypatch, capsys):
+        # os.path.join("", name) is the bare name: an empty --out would
+        # write every output into the working directory
+        trade, gdp = small_inputs
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(SystemExit) as exc:
+            run(*(gdp if a == "gdp.csv" else a for a in argv), "--trade", trade,
+                "--out", "")
+        assert exc.value.code == 2
+        assert "error: argument --out: must not be empty" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
     def test_one_year_range(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"
         assert run("pipeline", "--trade", fixtures_dir / "trade.csv",
@@ -1029,7 +1122,6 @@ class TestExitCodes:
         # tables are CSV only: --format is gone
         ["pipeline", "--gdp=gdp.csv", "--years=1995:2000", "--format", "json"],
         ["dendrogram", "--year", "2000", "--format", "json"],
-        ["shock", "--gdp=gdp.csv", "--year=2000", "--format", "json"],
         ["recover", "--gdp=gdp.csv", "--year=2000", "--format", "json"],
         ["pipeline", "--years", "1995:2000", "--format", "json"],
         ["dendrogram", "--year", "2000", "--gdp", "nope.csv", "--shock", "5"],
@@ -1044,16 +1136,15 @@ class TestExitCodes:
         ["pipeline", "--recessions", "r.csv", "--year", "2000"],
         ["pipeline", "--years", "1995:2000", "--year", "2000"],
         # the GDP update has one rule: --update is gone
-        ["shock", "--gdp=gdp.csv", "--year=2000", "--update", "multiplicative"],
         ["recover", "--gdp=gdp.csv", "--year=2000", "--update", "multiplicative"],
         ["pipeline", "--gdp=gdp.csv", "--years=1995:2000",
          "--update", "multiplicative"],
-    ], ids=["ccc-series-format", "dendrogram-format", "shock-format",
+    ], ids=["ccc-series-format", "dendrogram-format",
             "recover-format", "pipeline-format",
             "dendrogram", "ccc-series-mode", "dendrogram-mode",
             "recessions-test-mode", "pipeline-mode",
             "ccc-series-year", "recessions-test-year", "pipeline-year",
-            "shock-update", "recover-update", "pipeline-update"])
+            "recover-update", "pipeline-update"])
     def test_option_the_command_does_not_read_is_rejected(
             self, argv, small_inputs, tmp_path, capsys):
         trade, _ = small_inputs
@@ -1066,10 +1157,10 @@ class TestExitCodes:
         assert f"error: unrecognized arguments: {' '.join(argv[3:])}\n" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["ccc-series", "recessions-test"])
+    @pytest.mark.parametrize("command", ["ccc-series", "recessions-test", "shock"])
     def test_removed_command_is_unknown(self, command, small_inputs, tmp_path,
                                         capsys):
-        # pipeline writes what each wrote
+        # pipeline writes what the first two wrote, recover what shock wrote
         trade, _ = small_inputs
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -1086,7 +1177,7 @@ class TestByteOrderMark:
     @pytest.mark.parametrize("argv, name, quote", [
         (["pipeline"], "trade.csv", False),
         (["pipeline"], "trade.csv", True),
-        (["shock", "--gdp", "gdp.csv", "--year", "2000"], "gdp.csv", False),
+        (["recover", "--gdp", "gdp.csv", "--year", "2000"], "gdp.csv", False),
         (["pipeline", "--recessions", "recessions.csv"],
          "recessions.csv", False),
     ], ids=["trade", "trade-row-parser", "gdp", "recessions"])
@@ -1174,13 +1265,13 @@ class TestEpicenterText:
         ]:
             outs.append(tmp_path / name)
             proc = subprocess.run(
-                [sys.executable, "-m", "tradetopo.cli", "shock",
+                [sys.executable, "-m", "tradetopo.cli", "recover",
                  "--trade", str(trade), "--gdp", str(gdp), "--year", "2000",
                  "--epicenter", "ÅLA".encode(), "--out", str(outs[-1])],
                 env={**package_env, **locale}, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
         names = sorted(p.name for p in outs[1].iterdir())
-        assert names == ["shock_summary_2000.json", "shock_trace_2000.csv"]
+        assert names == TestRecover.FILES
         for n in names:
             assert (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
 
@@ -1189,13 +1280,13 @@ class TestEpicenterText:
     def test_epicenter_reads_as_the_files_code(self, text, ala_inputs, tmp_path):
         trade, gdp = ala_inputs
         args = cli.build_parser().parse_args(
-            ["shock", "--trade", "t", "--gdp", "g", "--year", "2000",
+            ["recover", "--trade", "t", "--gdp", "g", "--year", "2000",
              "--epicenter", text, "--out", "o"])
         assert args.epicenter == "ÅLA"
         out = tmp_path / "out"
-        assert run("shock", "--trade", trade, "--gdp", gdp, "--year", 2000,
+        assert run("recover", "--trade", trade, "--gdp", gdp, "--year", 2000,
                    "--epicenter", text, "--out", out) == 0
-        assert (out / "shock_summary_2000.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == TestRecover.FILES
 
 
 class TestAtomicWrite:
@@ -1257,6 +1348,12 @@ class TestHelp:
         assert proc.returncode == 0
         assert "usage" in proc.stdout.lower()
         assert list(tmp_path.iterdir()) == []
+
+    def test_three_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("--help")
+        assert exc.value.code == 0
+        assert "{dendrogram,recover,pipeline}" in capsys.readouterr().out
 
     def test_import_leaves_scipy_optimize_unloaded(self, package_env):
         # scipy.optimize is the slowest import; no command loads it
@@ -1399,9 +1496,8 @@ class TestWithoutScipy:
     @pytest.mark.parametrize("argv", [
         ["pipeline"],  # the CCC series alone
         ["dendrogram", "--year", "2000"],
-        ["shock", "--gdp", "gdp.csv", "--year", "2000"],
         ["pipeline", "--recessions", "recessions.csv"],
-    ], ids=["ccc-series", "dendrogram", "shock", "pipeline"])
+    ], ids=["ccc-series", "dendrogram", "pipeline"])
     def test_same_bytes_with_scipy_blocked(self, argv, fixtures_dir, tmp_path,
                                            package_env):
         argv = [str(fixtures_dir / a) if a.endswith(".csv") else a for a in argv]
